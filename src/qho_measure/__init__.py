@@ -33,7 +33,6 @@ from .gaussian_core import (
     evolved_width,
     gaussian_overlap_integral,
     gaussian_product,
-    ground_state_width,
 )
 from .grid_oracle import (
     CollapseMode,
@@ -48,7 +47,6 @@ from .trajectory_sim import (
     ChainConfig,
     MeasurementRecord,
     RunningStats,
-    chain_step,
     ks_critical_1pct,
     normality_statistic,
     run_chain,

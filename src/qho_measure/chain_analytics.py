@@ -65,8 +65,8 @@ class ChainClosedForm:
     sin_abs: float = field(default=-1.0)
 
     def __post_init__(self):
-        if not self.sigma_step > 0 or not self.sigma_first > 0:
-            raise ValueError("sigma_step and sigma_first must be > 0")
+        if not (0 < self.sigma_step < math.inf and 0 < self.sigma_first < math.inf):
+            raise ValueError("sigma_step and sigma_first must be finite and > 0")
         if self.sin_abs < 0:
             object.__setattr__(self, "sin_abs", math.sqrt(max(0.0, 1.0 - self.rho**2)))
 
@@ -77,13 +77,17 @@ class ChainClosedForm:
         scheme: MeasurementScheme,
         initial: WavePacket,
     ) -> "ChainClosedForm":
+        """Raises DomainError when the setup's scales overflow float arithmetic."""
         wt = params.omega * scheme.t_M
-        return cls(
-            sigma_step=evolved_width(params, scheme.sigma_M, scheme.t_M),
-            sigma_first=evolved_width(params, initial.sigma_x0, scheme.t_M),
-            rho=math.cos(wt),
-            sin_abs=abs(math.sin(wt)),
-        )
+        try:
+            return cls(
+                sigma_step=evolved_width(params, scheme.sigma_M, scheme.t_M),
+                sigma_first=evolved_width(params, initial.sigma_x0, scheme.t_M),
+                rho=math.cos(wt),
+                sin_abs=abs(math.sin(wt)),
+            )
+        except ValueError as exc:  # an inf or NaN width, or cos(inf)
+            raise DomainError(f"scales outside float range for this setup: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,19 @@ accepted for reproducing dimensional setups. Every JSON summary echoes the
 fully resolved configuration, so a run can be repeated exactly from its
 own output.
 
-Exit codes: 0 success, 2 validation failure, 3 configuration error,
-4 resonance/domain error.
+Exit codes: 0 success, 2 validation failure, 3 configuration error (a
+malformed, non-finite or out-of-range value, whether from a flag, the config
+file or QHO_SEED), 4 resonance or a setup whose numbers leave float range.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,33 +52,33 @@ EXIT_CONFIG = 3
 EXIT_RESONANCE = 4
 
 CSV_VERSION = "v1"
-DEFAULT_SEED = 12345
-
-_CONFIG_KEYS = {
-    "mass", "omega", "hbar", "t_m", "tau_m", "sigma_m", "varsigma_m",
-    "jitter_std", "x0", "sigma_x0", "n", "seed", "engine", "collapse", "out",
-}
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration; every field is materialized."""
+    """Run configuration: the one list of the names a run is configured by.
 
-    mass: float
-    omega: float
-    hbar: float
-    t_m: float
-    tau_m: float
-    sigma_m: float
-    varsigma_m: float
-    jitter_std: float
-    x0: float
-    sigma_x0: float
-    n: int
-    seed: int
-    engine: str
-    collapse: str
-    out: str
+    Each field is a flag (`--name`, with - for _) and a config-file key, and
+    both forms go through the parser for the field's type. resolve_config
+    fills every field. A None default depends on other fields: t_m = tau_m T,
+    varsigma_m = sigma_m / sigma_gs, sigma_x0 = sigma_gs.
+    """
+
+    mass: float = 1.0
+    omega: float = 0.707
+    hbar: float = 1.0
+    t_m: float = None
+    tau_m: float = 0.2
+    sigma_m: float = 0.5
+    varsigma_m: float = None
+    jitter_std: float = 0.0
+    x0: float = 0.0
+    sigma_x0: float = None
+    n: int = 500_000
+    seed: int = 12345  # QHO_SEED, when set, replaces this default
+    engine: str = field(default="chain", metadata={"choices": ("chain", "grid")})
+    collapse: str = field(default="replace", metadata={"choices": ("replace", "weak")})
+    out: str = "qho_out"
 
     def oscillator(self) -> OscillatorParams:
         return OscillatorParams(mass=self.mass, omega=self.omega, hbar=self.hbar)
@@ -97,120 +99,118 @@ class RunConfig:
         )
 
 
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+# dimensional/non-dimensional twins; a flag for either member overrides both
+_PAIRS = (("t_m", "tau_m"), ("sigma_m", "varsigma_m"))
+
+
+def _finite(value) -> float:
+    """A finite float from flag text or a JSON number (not a JSON boolean)."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
+def _integer(value) -> int:
+    """An integer from flag text or a JSON integer (not 2.7, not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+_PARSERS = {"float": _finite, "int": _integer, "str": _text}
+
+
+def _parse(parser, source: str, value):
+    """parser(value), with a malformed value reported as a ConfigError."""
+    try:
+        return parser(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def _parse_field(name: str, source: str, value):
+    choices = _FIELDS[name].metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{source}: expected one of {list(choices)}, got {value!r}")
+    return _parse(_PARSERS[_FIELDS[name].type], source, value)
+
+
 def _load_config_file(path: str) -> dict:
+    """The file's values, parsed; a JSON null leaves its field unset."""
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    return {k: _parse_field(k, f"{path}: {k}", v) for k, v in raw.items() if v is not None}
 
 
-def _pick_pair(values: dict, a: str, b: str, to_a, to_b, default_a):
-    """Resolve a dimensional/non-dimensional pair of inputs.
+def _pick_pair(values: dict, a: str, b: str, scale: float):
+    """Resolve a dimensional input a and its non-dimensional twin b = a / scale.
 
-    Exactly one is expected; both are tolerated only if mutually consistent
-    (that keeps summaries, which echo both, valid as config files).
+    Either may be given; both only if they agree (that keeps summaries, which
+    echo both, valid as config files). With neither, RunConfig's default of
+    whichever member has one is used.
     """
     va, vb = values.get(a), values.get(b)
     if va is None and vb is None:
-        va = default_a
-        vb = to_b(va)
-    elif va is None:
-        va = to_a(vb)
+        va = getattr(RunConfig, a)
+        if va is None:
+            va = getattr(RunConfig, b) * scale
+    if va is None:
+        va = vb * scale
     elif vb is None:
-        vb = to_b(va)
-    else:
-        if abs(va - to_a(vb)) > 1e-9 * max(abs(va), 1e-30):
-            raise ConfigError(f"inconsistent {a}={va} and {b}={vb}")
-    if not va > 0:
-        raise ConfigError(f"{a} must be > 0, got {va}")
+        vb = va / scale
+    elif abs(va - vb * scale) > 1e-9 * max(abs(va), 1e-30):
+        raise ValueError(f"inconsistent {a}={va} and {b}={vb}")
     return va, vb
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    flag_map = {
-        "mass": "mass", "omega": "omega", "hbar": "hbar",
-        "t_m": "t_m", "tau_m": "tau_m", "sigma_m": "sigma_m",
-        "varsigma_m": "varsigma_m", "jitter_std": "jitter_std",
-        "x0": "x0", "sigma_x0": "sigma_x0", "n": "n", "seed": "seed",
-        "engine": "engine", "collapse": "collapse", "out": "out",
-    }
-    for key, attr in flag_map.items():
-        v = getattr(args, attr, None)
-        if v is not None:
-            # a flag for one member of a pair supersedes the file's pair
-            if key in ("t_m", "tau_m") and not (
-                getattr(args, "t_m", None) is not None
-                and getattr(args, "tau_m", None) is not None
-            ):
-                values.pop("t_m", None)
-                values.pop("tau_m", None)
-            if key in ("sigma_m", "varsigma_m") and not (
-                getattr(args, "sigma_m", None) is not None
-                and getattr(args, "varsigma_m", None) is not None
-            ):
-                values.pop("sigma_m", None)
-                values.pop("varsigma_m", None)
-    for key, attr in flag_map.items():
-        v = getattr(args, attr, None)
-        if v is not None:
-            values[key] = v
+    """Merge the config file, flags, QHO_SEED and RunConfig's defaults.
 
-    mass = float(values.get("mass", 1.0))
-    omega = float(values.get("omega", 0.707))
-    hbar = float(values.get("hbar", 1.0))
+    Flags win over the file. Range checks are the domain types' own, made by
+    building the chain configuration once.
+    """
+    values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {
+        name: _parse_field(name, "--" + name.replace("_", "-"), v)
+        for name in _FIELDS
+        if (v := getattr(args, name, None)) is not None
+    }
+    for pair in _PAIRS:
+        if flags.keys() & set(pair):
+            for key in pair:
+                values.pop(key, None)
+    values.update(flags)
+    if "seed" not in values and "QHO_SEED" in os.environ:
+        values["seed"] = _parse_field("seed", "QHO_SEED", os.environ["QHO_SEED"])
+
+    cfg = RunConfig(**values)
     try:
-        params = OscillatorParams(mass=mass, omega=omega, hbar=hbar)
+        params = cfg.oscillator()
+        cfg.t_m, cfg.tau_m = _pick_pair(values, "t_m", "tau_m", params.period)
+        cfg.sigma_m, cfg.varsigma_m = _pick_pair(values, "sigma_m", "varsigma_m", params.sigma_gs)
+        if cfg.sigma_x0 is None:
+            cfg.sigma_x0 = params.sigma_gs
+        cfg.chain_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    T, sgs = params.period, params.sigma_gs
-
-    try:
-        t_m, tau_m = _pick_pair(
-            values, "t_m", "tau_m",
-            to_a=lambda tau: tau * T, to_b=lambda t: t / T, default_a=0.2 * T,
-        )
-        sigma_m, varsigma_m = _pick_pair(
-            values, "sigma_m", "varsigma_m",
-            to_a=lambda vs: vs * sgs, to_b=lambda s: s / sgs, default_a=0.5,
-        )
-    except ConfigError:
-        raise
-    jitter_std = float(values.get("jitter_std", 0.0))
-    x0 = float(values.get("x0", 0.0))
-    sigma_x0 = float(values.get("sigma_x0", sgs))
-    n = int(values.get("n", 500_000))
-    seed = values.get("seed")
-    if seed is None:
-        seed = os.environ.get("QHO_SEED", DEFAULT_SEED)
-    seed = int(seed)
-    engine = str(values.get("engine", "chain"))
-    collapse = str(values.get("collapse", "replace"))
-    if engine not in ("chain", "grid"):
-        raise ConfigError(f"engine must be 'chain' or 'grid', got {engine!r}")
-    if collapse not in ("replace", "weak"):
-        raise ConfigError(f"collapse must be 'replace' or 'weak', got {collapse!r}")
-    if jitter_std < 0:
-        raise ConfigError("jitter_std must be >= 0")
-    if sigma_x0 <= 0:
-        raise ConfigError("sigma_x0 must be > 0")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    return RunConfig(
-        mass=mass, omega=omega, hbar=hbar,
-        t_m=t_m, tau_m=tau_m, sigma_m=sigma_m, varsigma_m=varsigma_m,
-        jitter_std=jitter_std, x0=x0, sigma_x0=sigma_x0,
-        n=n, seed=seed, engine=engine, collapse=collapse,
-        out=str(values.get("out", "qho_out")),
-    )
+    return cfg
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -288,6 +288,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     samples = record.samples
     periods = record.periods if record.periods is not None else np.full(len(samples), cfg.t_m)
+    if not (np.isfinite(samples).all() and np.isfinite(periods).all()):
+        raise DomainError("the chain overflowed to non-finite outcomes; no files written")
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,8 +364,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------------ sweep
 
-def _axis(triple, log: bool) -> np.ndarray:
-    lo, hi, count = float(triple[0]), float(triple[1]), int(triple[2])
+def _axis(flag: str, triple, log: bool) -> np.ndarray:
+    lo, hi = (_parse(_finite, flag, v) for v in triple[:2])
+    count = _parse(_integer, flag, triple[2])
     if count < 2:
         raise ConfigError("sweep axis count must be >= 2")
     if log:
@@ -377,12 +380,12 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.sweep_varsigma is None and args.sweep_tau is None:
         raise ConfigError("sweep needs --sweep-varsigma and/or --sweep-tau")
     vs_axis = (
-        _axis(args.sweep_varsigma, args.log_varsigma)
+        _axis("--sweep-varsigma", args.sweep_varsigma, args.log_varsigma)
         if args.sweep_varsigma is not None
         else np.array([cfg.varsigma_m])
     )
     tau_axis = (
-        _axis(args.sweep_tau, args.log_tau)
+        _axis("--sweep-tau", args.sweep_tau, args.log_tau)
         if args.sweep_tau is not None
         else np.array([cfg.tau_m])
     )
@@ -410,8 +413,13 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     chain_cfg = cfg.chain_config()
-    grid = default_grid_for(chain_cfg, n_points=args.grid_n)
-    results = run_battery(chain_cfg, grid, weak_gap_tol=args.weak_gap_tol)
+    weak_gap_tol = _parse(_finite, "--weak-gap-tol", args.weak_gap_tol)
+    n_points = _parse(_integer, "--grid-n", args.grid_n)
+    try:
+        grid = default_grid_for(chain_cfg, n_points=n_points)
+    except ValueError as exc:
+        raise ConfigError(f"--grid-n: {exc}") from exc
+    results = run_battery(chain_cfg, grid, weak_gap_tol=weak_gap_tol)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         extra = f" ({r.detail})" if r.detail else ""
@@ -428,22 +436,12 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- main
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    # values stay text here and go through RunConfig's parsers, so a
+    # malformed flag exits like a malformed config-file value
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tau-m", dest="tau_m", type=float)
-    p.add_argument("--varsigma-m", dest="varsigma_m", type=float)
-    p.add_argument("--t-m", dest="t_m", type=float)
-    p.add_argument("--sigma-m", dest="sigma_m", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--mass", type=float)
-    p.add_argument("--hbar", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--jitter-std", dest="jitter_std", type=float)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--sigma-x0", dest="sigma_x0", type=float)
-    p.add_argument("--engine", choices=["chain", "grid"])
-    p.add_argument("--collapse", choices=["replace", "weak"])
-    p.add_argument("--out", help="output directory (default qho_out)")
+    for f in fields(RunConfig):
+        default = None if f.default is None else f"default {f.default}"
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="cross-validation battery (closed forms vs grid)")
     _add_common_flags(p)
-    p.add_argument("--grid-n", type=int, default=4096, help="grid points for the oracle")
-    p.add_argument("--weak-gap-tol", type=float, default=0.05)
+    p.add_argument("--grid-n", default=4096, help="grid points for the oracle")
+    p.add_argument("--weak-gap-tol", default=0.05)
     return parser
 
 
@@ -478,19 +476,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args)
-        if args.command == "validate":
+        # overflow shows up as the commands' domain errors, not as warnings
+        with np.errstate(all="ignore"):
+            if args.command == "analyze":
+                return cmd_analyze(cfg)
+            if args.command == "simulate":
+                return cmd_simulate(cfg)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, args)
             return cmd_validate(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ResonanceError, DomainError) as exc:
+    except MemoryError:
+        print("configuration error: not enough memory for this run; lower --n", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ResonanceError, DomainError, ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RESONANCE
     except QhoError as exc:

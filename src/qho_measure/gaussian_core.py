@@ -68,11 +68,6 @@ class WavePacket:
             raise ValueError("sigma_x0 must be > 0")
 
 
-def ground_state_width(params: OscillatorParams) -> float:
-    """Length scale sqrt(hbar/(m omega)) of the oscillator."""
-    return params.sigma_gs
-
-
 def evolved_width(params: OscillatorParams, sigma_x0, t):
     """Density width sigma(t) of a Gaussian packet of initial width sigma_x0.
 

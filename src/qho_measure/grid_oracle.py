@@ -195,13 +195,8 @@ def run_chain_grid(
     grid: Grid | None = None,
     mode: CollapseMode = CollapseMode.REPLACE,
     dt: float | None = None,
-    snapshot=None,
 ) -> MeasurementRecord:
-    """Full measurement chain driven by grid dynamics.
-
-    snapshot: optional writable text stream; receives columnar rows
-    "step,x,density" for every pre-measurement density.
-    """
+    """Full measurement chain driven by grid dynamics."""
     if grid is None:
         grid = default_grid_for(cfg)
     cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
@@ -218,13 +213,5 @@ def run_chain_grid(
         wf = evolve(wf, cfg.scheme.t_M, cfg.params, dt=dt)
         if wf.boundary_probability() > LEAKAGE_THRESHOLD:
             raise LeakageError(f"boundary density exceeded {LEAKAGE_THRESHOLD} at step {i}")
-        if snapshot is not None:
-            _write_snapshot(snapshot, i, wf)
         samples[i], wf = measure_and_collapse(wf, cfg.scheme.sigma_M, mode, rng)
     return MeasurementRecord(samples=samples)
-
-
-def _write_snapshot(stream, step: int, wf: GridWavefunction) -> None:
-    d = wf.density()
-    for xj, dj in zip(wf.grid.x, d):
-        stream.write(f"{step},{xj!r},{dj!r}\n")

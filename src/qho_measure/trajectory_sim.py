@@ -50,6 +50,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.n_measurements < 1:
             raise ValueError("n_measurements must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,6 @@ class RunningStats:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    def push(self, x: float) -> None:
-        self.push_array(np.asarray([x], dtype=float))
-
     def push_array(self, xs: np.ndarray) -> None:
         xs = np.asarray(xs, dtype=float)
         nb = xs.size
@@ -133,11 +132,6 @@ class RunningStats:
             out._merge_moments(other.count, other.mean, other._m2)
         out.counts += other.counts
         return out
-
-
-def chain_step(x_prev: float, rho: float, sigma_step: float, noise: float) -> float:
-    """One exact draw from the evolved post-collapse density."""
-    return x_prev * rho + sigma_step * noise
 
 
 def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:

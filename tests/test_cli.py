@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import re
+from dataclasses import fields
 
+import pytest
 
-from qho_measure.cli import main
+from qho_measure.cli import RunConfig, main
 from conftest import REF_SIGMA_INF
 
 
@@ -184,3 +187,106 @@ class TestValidate:
         data = json.loads((out / "validate.json").read_text())
         assert any(not c["passed"] for c in data["checks"])
         assert "FAIL" in capsys.readouterr().out
+
+
+# Bad inputs: (argv, config-file object or None, QHO_SEED or None, exit code).
+# Malformed or non-finite values exit 3 from a flag, the config file or the
+# environment alike; values whose closed forms or outcomes leave float range
+# exit 4.
+BAD_INPUTS = [
+    (["analyze", "--sigma-x0", "nan"], None, None, 3),
+    (["simulate", "--n", "10", "--jitter-std", "nan"], None, None, 3),
+    (["simulate", "--n", "10", "--x0", "inf"], None, None, 3),
+    (["simulate"], {"n": "abc"}, None, 3),
+    (["simulate", "--n", "10"], {"seed": "x"}, None, 3),
+    (["simulate", "--n", "10"], None, "abc", 3),
+    (["simulate"], {"n": 2.7}, None, 3),
+    (["analyze"], {"tau_m": True}, None, 3),
+    (["simulate", "--n", "abc"], None, None, 3),
+    (["simulate", "--n", "10", "--engine", "foo"], None, None, 3),
+    (["sweep", "--sweep-tau", "0.1", "0.4", "abc"], None, None, 3),
+    (["sweep", "--sweep-tau", "0.1", "0.4", "2.5"], None, None, 3),
+    (["validate", "--grid-n", "100"], None, None, 3),
+    (["validate", "--weak-gap-tol", "nan"], None, None, 3),
+    (["analyze", "--omega", "1e-300"], None, None, 4),
+    (["analyze", "--omega", "1e300"], None, None, 4),
+    (["simulate", "--n", "1000", "--jitter-std", "1e308"], None, None, 4),
+    # fails at allocation at once; sizes that could be allocated are not tried
+    (["simulate", "--n", "100000000000"], None, None, 3),
+]
+
+
+def run_cli(tmp_path, argv, config=None):
+    """main() with --out under tmp_path and an optional config file."""
+    argv = [*argv, "--out", str(tmp_path / "o")]
+    if config is not None:
+        tmp_path.mkdir(parents=True, exist_ok=True)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("argv,config,env_seed,code", BAD_INPUTS)
+def test_bad_input_exit_code(tmp_path, capsys, monkeypatch, argv, config, env_seed, code):
+    if env_seed is None:
+        monkeypatch.delenv("QHO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QHO_SEED", env_seed)
+    assert run_cli(tmp_path, argv, config) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    for path in tmp_path.rglob("*.json"):
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
+
+def field_values(f):
+    """A valid and a malformed value of RunConfig field f, each as
+    (flag text, config-file value)."""
+    if "choices" in f.metadata:
+        good = f.metadata["choices"][-1]
+        return (good, good), ("foo", "foo")
+    return {"float": (("0.3", 0.3), ("nan", math.nan)), "int": (("7", 7), ("2.5", 2.5))}[f.type]
+
+
+@pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
+def test_each_field_is_flag_and_config_key(tmp_path, f):
+    flag = "--" + f.name.replace("_", "-")
+    if f.name == "out":
+        # any string names a directory, so no value is malformed in both forms
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out": str(tmp_path / "key")}))
+        assert main(["analyze", flag, str(tmp_path / "flag")]) == 0
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "flag" / "analyze.json").exists()
+        assert (tmp_path / "key" / "analyze.json").exists()
+        return
+    (good_flag, good_key), (bad_flag, bad_key) = field_values(f)
+    assert run_cli(tmp_path / "flag", ["analyze", flag, good_flag]) == 0
+    assert run_cli(tmp_path / "key", ["analyze"], {f.name: good_key}) == 0
+    for form in ("flag", "key"):
+        echo = json.loads((tmp_path / form / "o" / "analyze.json").read_text())["config"]
+        assert echo[f.name] == good_key
+    assert run_cli(tmp_path / "bad_flag", ["analyze", flag, bad_flag]) == 3
+    assert run_cli(tmp_path / "bad_key", ["analyze"], {f.name: bad_key}) == 3
+
+
+def test_flag_names_unchanged(capsys):
+    common = {
+        "--config", "--seed", "--tau-m", "--varsigma-m", "--t-m", "--sigma-m", "--omega",
+        "--mass", "--hbar", "--n", "--jitter-std", "--x0", "--sigma-x0", "--engine",
+        "--collapse", "--out", "--help",
+    }
+    extra = {
+        "analyze": set(),
+        "simulate": set(),
+        "sweep": {"--sweep-varsigma", "--sweep-tau", "--log-varsigma", "--log-tau"},
+        "validate": {"--grid-n", "--weak-gap-tol"},
+    }
+    for command, own in extra.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert listed == common | own

@@ -12,7 +12,6 @@ from qho_measure import (
     evolved_width,
     gaussian_overlap_integral,
     gaussian_product,
-    ground_state_width,
 )
 
 
@@ -38,15 +37,15 @@ class TestGaussian:
 
 class TestGroundStateWidth:
     def test_unit_parameters(self):
-        assert ground_state_width(OscillatorParams(1.0, 1.0, 1.0)) == 1.0
+        assert OscillatorParams(1.0, 1.0, 1.0).sigma_gs == 1.0
 
     def test_reference_omega(self):
         # sqrt(1 / 0.707), frozen from an independent evaluation
-        val = ground_state_width(OscillatorParams(1.0, 0.707, 1.0))
+        val = OscillatorParams(1.0, 0.707, 1.0).sigma_gs
         assert abs(val - 1.1892969170906877) < 1e-15
 
     def test_mass_scaling(self):
-        assert abs(ground_state_width(OscillatorParams(4.0, 1.0, 1.0)) - 0.5) < 1e-15
+        assert abs(OscillatorParams(4.0, 1.0, 1.0).sigma_gs - 0.5) < 1e-15
 
 
 class TestEvolvedWidth:

@@ -206,15 +206,6 @@ class TestRunChainGrid:
                 dt=cfg.params.period / 128,
             )
 
-    def test_snapshot_stream(self, tmp_path):
-        cfg = self._cfg(2)
-        path = tmp_path / "snap.csv"
-        with path.open("w") as f:
-            run_chain_grid(cfg, dt=cfg.params.period / 128, snapshot=f)
-        lines = path.read_text().strip().splitlines()
-        data = [ln for ln in lines if not ln.startswith("#") and "," in ln]
-        assert len(data) >= 2  # at least one row per measurement
-
     def test_default_grid_spans_limit(self):
         cfg = self._cfg(10)
         from qho_measure import ChainClosedForm

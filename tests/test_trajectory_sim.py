@@ -11,7 +11,6 @@ from qho_measure import (
     ResonanceError,
     RunningStats,
     WavePacket,
-    chain_step,
     density_before_nth,
     ks_critical_1pct,
     normality_statistic,
@@ -21,19 +20,6 @@ from qho_measure import (
     thinning_interval,
 )
 from conftest import REF_SIGMA_INF
-
-
-class TestChainStep:
-    def test_zero_noise(self):
-        assert chain_step(2.0, 0.5, 1.3, 0.0) == 1.0
-
-    def test_memoryless(self):
-        assert chain_step(100.0, 0.0, 2.0, 1.5) == 3.0
-
-    def test_linearity_in_noise(self):
-        a = chain_step(1.0, 0.3, 0.7, 2.0)
-        b = chain_step(1.0, 0.3, 0.7, 0.0)
-        assert abs((a - b) - 0.7 * 2.0) < 1e-15
 
 
 class TestRunChain:
@@ -122,7 +108,7 @@ class TestRunningStats:
         xs = rng.normal(0.0, 2.0, size=1000)
         st = RunningStats.for_scale(2.0)
         for x in xs:
-            st.push(float(x))
+            st.push_array(np.array([x]))
         assert st.count == 1000
         assert abs(st.mean - np.mean(xs)) < 1e-12
         assert abs(st.variance - np.var(xs)) < 1e-12
@@ -133,7 +119,7 @@ class TestRunningStats:
         b = RunningStats.for_scale(1.0)
         a.push_array(xs)
         for x in xs:
-            b.push(float(x))
+            b.push_array(np.array([x]))
         assert a.count == b.count
         assert abs(a.mean - b.mean) < 1e-12
         assert abs(a.variance - b.variance) < 1e-12

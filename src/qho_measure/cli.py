@@ -9,12 +9,14 @@ own output.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
-file or QHO_SEED), 4 resonance or a setup whose numbers leave float range.
+file or QHO_SEED; a usage error; an --out that cannot be written), 4
+resonance or a setup whose numbers leave float range.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -52,6 +54,8 @@ EXIT_CONFIG = 3
 EXIT_RESONANCE = 4
 
 CSV_VERSION = "v1"
+# samples.csv is formatted and written this many rows at a time
+CSV_ROWS_PER_WRITE = 1 << 16
 
 
 @dataclass
@@ -286,9 +290,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     else:
         record, stats = run_chain(chain_cfg)
 
-    samples = record.samples
-    periods = record.periods if record.periods is not None else np.full(len(samples), cfg.t_m)
-    if not (np.isfinite(samples).all() and np.isfinite(periods).all()):
+    samples, periods = record.samples, record.periods
+    if not (np.isfinite(samples).all() and (periods is None or np.isfinite(periods).all())):
         raise DomainError("the chain overflowed to non-finite outcomes; no files written")
 
     out = Path(cfg.out)
@@ -300,8 +303,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
             written.append(path)
             f.write(f"# qho-measure samples {CSV_VERSION}\n")
             f.write("index,x_M,t_eff\n")
-            for i, (x, t) in enumerate(zip(samples, periods), start=1):
-                f.write(f"{i},{float(x)!r},{float(t)!r}\n")
+            t_m = repr(float(cfg.t_m))
+            for lo in range(0, len(samples), CSV_ROWS_PER_WRITE):
+                hi = min(lo + CSV_ROWS_PER_WRITE, len(samples))
+                if periods is None:
+                    t_eff = itertools.repeat(t_m)
+                else:
+                    t_eff = map(repr, periods[lo:hi].tolist())
+                x_m = samples[lo:hi].tolist()
+                f.write("".join(map("{},{!r},{}\n".format, range(lo + 1, hi + 1), x_m, t_eff)))
 
         path = out / "running_std.csv"
         with path.open("w") as f:
@@ -422,8 +432,12 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     results = run_battery(chain_cfg, grid, weak_gap_tol=weak_gap_tol)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        extra = f" ({r.detail})" if r.detail else ""
-        print(f"{status} {r.name}: measured {r.measured:.3e} vs tolerance {r.tolerance:.3e}{extra}")
+        if r.measured is None:  # the check crashed
+            line = r.detail
+        else:
+            extra = f" ({r.detail})" if r.detail else ""
+            line = f"measured {r.measured:.3e} vs tolerance {r.tolerance:.3e}{extra}"
+        print(f"{status} {r.name}: {line}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -444,8 +458,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors reported as configuration errors (exit 3);
+    its own exit code 2 is the code of a validation failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qho-measure",
         description="Periodic finite-precision position measurements of a "
         "quantum harmonic oscillator: closed forms, simulation, validation.",
@@ -473,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         # overflow shows up as the commands' domain errors, not as warnings
         with np.errstate(all="ignore"):
@@ -490,6 +512,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError:
         print("configuration error: not enough memory for this run; lower --n", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reading the config file is a ConfigError already
+        print(f"configuration error: cannot write the outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ResonanceError, DomainError, ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

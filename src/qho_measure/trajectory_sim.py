@@ -9,6 +9,11 @@ exact linear Gaussian chain:
 with iid standard-normal eta. No discretization is involved; the grid
 oracle exists to cross-check this construction, not the other way round.
 
+The recurrence is evaluated by ar1_scan, a numpy-only block scan that
+gives the same bits as the step-by-step loop (one rounded product and one
+rounded sum per step), so a seed's output does not depend on how the scan
+is cut into chunks and blocks.
+
 RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
 exactly one draw (no rejection loops in the record path). Ensembles split
@@ -16,12 +21,11 @@ the seed with SeedSequence.spawn.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtr, ndtri
 
 from .chain_analytics import (
     EPS_RES,
@@ -37,6 +41,14 @@ T_MIN_FRACTION = 1e-6
 
 HIST_BINS = 200
 HIST_HALF_WIDTH_SIGMAS = 6.0
+
+# ar1_scan works on chunks of this many samples, which bounds its scratch
+# memory whatever the chain length.
+SCAN_CHUNK = 1 << 17
+# Warm-up steps added to the 53-bit decay length of each block.
+SCAN_WARMUP_MARGIN = 64
+# With fewer blocks side by side, the block scan is no faster than the loop.
+SCAN_MIN_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -136,9 +148,95 @@ class RunningStats:
 
 def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Inverse-CDF normals: one uniform per sample, fully deterministic."""
+    from scipy.special import ndtri  # loaded only by the commands that sample
+
     u = rng.random(n)
     np.maximum(u, 1e-300, out=u)  # ndtri(0) is -inf
     return ndtri(u)
+
+
+def _scan_loop(a, b: np.ndarray, y: float) -> np.ndarray:
+    """The sequential recurrence in Python floats: the reference order."""
+    a_steps = itertools.repeat(float(a)) if np.ndim(a) == 0 else a.tolist()
+    out = []
+    for ai, bi in zip(a_steps, b.tolist()):
+        y = ai * y + bi
+        out.append(y)
+    return np.array(out, dtype=float)
+
+
+def _scan_warmup(a) -> int | None:
+    """Steps after which a state started from zero has decayed below the last
+    bit of the true one (|a|^k <= 2^-53), plus SCAN_WARMUP_MARGIN; None when
+    some |a_i| >= 1 (or is NaN), where a wrong start never decays."""
+    a_max = float(np.max(np.abs(a)))
+    if not a_max < 1.0:
+        return None
+    decay = 0 if a_max == 0.0 else math.ceil(53 * math.log(2) / -math.log(a_max))
+    return max(1, decay + SCAN_WARMUP_MARGIN)
+
+
+def _scan_chunk(a, b: np.ndarray, y: float, out: np.ndarray) -> None:
+    """out = ar1_scan(a, b, y) for one chunk, by blocks scanned side by side.
+
+    Block j >= 1 of length k starts from zero k steps before its first sample
+    and ends its warm-up at block j-1's last sample. Where the two agree bit
+    for bit, every later step of block j repeats the sequential one exactly;
+    a block whose boundary disagrees is recomputed by the loop.
+    """
+    m = b.size
+    k = _scan_warmup(a)
+    blocks = 0 if k is None else -(-m // k)
+    if blocks < SCAN_MIN_BLOCKS:
+        out[:] = _scan_loop(a, b, y)
+        return
+
+    def rows(v):  # rows[t, j] = v[j k + t - k], zero outside v
+        padded = np.zeros(k + blocks * k)
+        padded[k : k + m] = v
+        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * k)[::k]
+        return np.ascontiguousarray(windows.T)
+
+    b_rows = rows(b)
+    a_rows = itertools.repeat(float(a)) if np.ndim(a) == 0 else rows(a)
+    y_rows = np.empty_like(b_rows)
+    state = np.zeros(blocks)
+    for t, (at, bt, yt) in enumerate(zip(a_rows, b_rows, y_rows)):
+        if t == k:
+            state[0] = y  # block 0 starts from the carried state
+        np.multiply(at, state, yt)
+        np.add(yt, bt, yt)
+        state = yt
+    out[:] = y_rows[k:].T.reshape(-1)[:m]
+
+    bits = out.view(np.uint64)
+    warm_end = y_rows[k - 1].view(np.uint64)
+    disagree = np.flatnonzero(warm_end[1:] != y_rows[-1, :-1].view(np.uint64)) + 1
+    todo = disagree.tolist()[::-1]  # a stack, lowest block on top
+    while todo:
+        j = todo.pop()
+        lo, hi = j * k, min(j * k + k, m)
+        out[lo:hi] = _scan_loop(a if np.ndim(a) == 0 else a[lo:hi], b[lo:hi], float(out[lo - 1]))
+        # block j+1 was checked against block j's old last value
+        if j + 1 < blocks and (not todo or todo[-1] != j + 1) and warm_end[j + 1] != bits[hi - 1]:
+            todo.append(j + 1)
+
+
+def ar1_scan(a, b: np.ndarray, y0: float) -> np.ndarray:
+    """y_i = b_i + a_i y_{i-1} for i = 0..n-1, from y_{-1} = y0.
+
+    a is a scalar or an array like b. The result has the same bits as the
+    sequential loop, which rounds the product a_i y_{i-1} and then the sum,
+    as a first-order IIR filter's loop does.
+    """
+    b = np.asarray(b, dtype=float)
+    out = np.empty(b.size)
+    y = float(y0)
+    for lo in range(0, b.size, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, b.size)
+        _scan_chunk(a if np.ndim(a) == 0 else a[lo:hi], b[lo:hi], y, out[lo:hi])
+        y = float(out[hi - 1])
+    return out
 
 
 def _histogram_scale(cf: ChainClosedForm, params: OscillatorParams) -> float:
@@ -155,14 +253,10 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence):
             f"t_M = {cfg.scheme.t_M} resonant: chain variance diverges without jitter"
         )
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    n = cfg.n_measurements
-    eta = _standard_normal(rng, n)
-    x = np.empty(n)
-    x[0] = cfg.initial.x0 * cf.rho + cf.sigma_first * eta[0]
-    if n > 1:
-        x[1:], _ = lfilter(
-            [1.0], [1.0, -cf.rho], cf.sigma_step * eta[1:], zi=np.array([cf.rho * x[0]])
-        )
+    eta = _standard_normal(rng, cfg.n_measurements)
+    noise = cf.sigma_step * eta
+    noise[0] = cf.sigma_first * eta[0]  # the first step evolves the initial packet
+    x = ar1_scan(cf.rho, noise, cfg.initial.x0)
     stats = RunningStats.for_scale(limiting_sigma(cf))
     stats.push_array(x)
     return MeasurementRecord(samples=x), stats
@@ -182,12 +276,9 @@ def _run_chain_jittered_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequenc
     t_min = T_MIN_FRACTION * scheme.t_M
     periods = np.maximum(t_min, scheme.t_M + scheme.jitter_std * _standard_normal(rng, n))
     eta = _standard_normal(rng, n)
-    rho_i = np.cos(params.omega * periods)
-    sigma_i = evolved_width(params, scheme.sigma_M, periods)
-    x = np.empty(n)
-    x[0] = cfg.initial.x0 * rho_i[0] + evolved_width(params, cfg.initial.sigma_x0, periods[0]) * eta[0]
-    for i in range(1, n):
-        x[i] = x[i - 1] * rho_i[i] + sigma_i[i] * eta[i]
+    noise = evolved_width(params, scheme.sigma_M, periods) * eta
+    noise[0] = evolved_width(params, cfg.initial.sigma_x0, periods[0]) * eta[0]
+    x = ar1_scan(np.cos(params.omega * periods), noise, cfg.initial.x0)
     cf = ChainClosedForm.from_setup(params, scheme, cfg.initial)
     stats = RunningStats.for_scale(_histogram_scale(cf, params))
     stats.push_array(x)
@@ -245,6 +336,8 @@ def normality_statistic(samples: np.ndarray, sigma_target: float) -> float:
     Callers are responsible for thinning correlated chain output first
     (see thinning_interval); KS on correlated samples is not valid.
     """
+    from scipy.special import ndtr  # loaded only by the commands that test
+
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     if n < 100:

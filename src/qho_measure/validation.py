@@ -1,7 +1,8 @@
 """Cross-validation battery: closed forms vs independent numerics.
 
 Each check returns a CheckResult with the measured error and its tolerance;
-the CLI `validate` subcommand renders these as pass/fail JSON.
+the CLI `validate` subcommand renders these as pass/fail JSON. A check that
+crashed has neither (None, JSON null) and says why in its detail.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from .trajectory_sim import ChainConfig, run_chain
 class CheckResult:
     name: str
     passed: bool
-    measured: float
-    tolerance: float
+    measured: float | None
+    tolerance: float | None
     detail: str = ""
 
     def as_dict(self) -> dict:
@@ -221,7 +222,6 @@ def run_battery(cfg: ChainConfig, grid: Grid, weak_gap_tol: float = 0.05) -> lis
         try:
             results.append(fn())
         except Exception as exc:  # a crash is a failed check with a diagnostic
-            results.append(
-                CheckResult(name, False, math.inf, math.nan, detail=f"{type(exc).__name__}: {exc}")
-            )
+            detail = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(name, False, None, None, detail=detail))
     return results

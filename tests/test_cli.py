@@ -1,13 +1,27 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import qho_measure
 from qho_measure.cli import RunConfig, main
 from conftest import REF_SIGMA_INF
+
+
+def strict_json(path):
+    """The file's JSON, refusing NaN and Infinity (not JSON, RFC 8259)."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def read_csv(path):
@@ -184,7 +198,7 @@ class TestValidate:
         out = tmp_path / "o"
         rc = main(["validate", "--n", "60000", "--grid-n", "256", "--out", str(out)])
         assert rc == 2
-        data = json.loads((out / "validate.json").read_text())
+        data = strict_json(out / "validate.json")
         assert any(not c["passed"] for c in data["checks"])
         assert "FAIL" in capsys.readouterr().out
 
@@ -213,12 +227,19 @@ BAD_INPUTS = [
     (["simulate", "--n", "1000", "--jitter-std", "1e308"], None, None, 4),
     # fails at allocation at once; sizes that could be allocated are not tried
     (["simulate", "--n", "100000000000"], None, None, 3),
+    (["analyze", "--out", "/dev/null/x"], None, None, 3),
+    (["simulate", "--n", "10", "--out", "/dev/null/x"], None, None, 3),
+    # usage errors: exit 2 would read as a validation failure
+    (["simulate", "--bogus"], None, None, 3),
+    (["simulate", "--x0", "-inf"], None, None, 3),
 ]
 
 
 def run_cli(tmp_path, argv, config=None):
-    """main() with --out under tmp_path and an optional config file."""
-    argv = [*argv, "--out", str(tmp_path / "o")]
+    """main() with --out under tmp_path, unless argv names one, and an
+    optional config file."""
+    if "--out" not in argv:
+        argv = [*argv, "--out", str(tmp_path / "o")]
     if config is not None:
         tmp_path.mkdir(parents=True, exist_ok=True)
         path = tmp_path / "cfg.json"
@@ -290,3 +311,39 @@ def test_flag_names_unchanged(capsys):
             main([command, "--help"])
         listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
         assert listed == common | own
+
+
+def loaded_scipy_modules(*argv):
+    """The scipy modules a fresh interpreter has loaded after importing the
+    CLI and, when argv is given, running it."""
+    script = (
+        "import json, sys\n"
+        "from qho_measure import cli\n"
+        f"argv = {list(argv)!r}\n"
+        "if argv and cli.main(argv) != 0:\n"
+        "    sys.exit('command failed')\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = str(Path(qho_measure.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("analyze",), ("simulate", "--engine", "grid", "--n", "2")],
+    ids=["import", "analyze", "grid_simulate"],
+)
+def test_no_scipy_loaded(tmp_path, argv):
+    if argv:
+        argv = (*argv, "--out", str(tmp_path / "o"))
+    assert loaded_scipy_modules(*argv) == []
+
+
+def test_chain_simulate_loads_no_scipy_signal(tmp_path):
+    loaded = loaded_scipy_modules("simulate", "--n", "1000", "--out", str(tmp_path / "o"))
+    assert "scipy.special" in loaded
+    assert not any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in loaded)

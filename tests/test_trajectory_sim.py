@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import qho_measure.trajectory_sim as ts
 from qho_measure import (
     ChainClosedForm,
     ChainConfig,
@@ -206,3 +208,75 @@ class TestThinning:
             k = thinning_interval(rho)
             assert rho**k < 0.05
             assert k == 1 or rho ** (k - 1) >= 0.05
+
+
+SCAN_LENGTHS = (1, 2, ts.SCAN_CHUNK - 1, ts.SCAN_CHUNK, ts.SCAN_CHUNK + 1, 10**6)
+
+
+def loop_reference(a, b, y):
+    """y_i = a_i y_{i-1} + b_i step by step in Python floats."""
+    out = []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        y = ai * y + bi
+        out.append(y)
+    return np.array(out, dtype=float)
+
+
+def memory_coefficients(kind, n, rng):
+    if kind == "jittered":  # the chain's rho_i = cos(omega t_i) near tau_M = 0.45
+        return np.cos(2 * np.pi * (0.45 + 0.002 * rng.standard_normal(n)))
+    a = rng.uniform(-0.95, 0.95, n)
+    a[n // 2] = -1.0  # one step without decay: that chunk falls back to the loop
+    if n > 2:
+        a[n // 3] = 1.0
+    return a
+
+
+class TestAr1Scan:
+    """ar1_scan must give the bits of the sequential recurrence."""
+
+    @pytest.mark.parametrize("n", SCAN_LENGTHS)
+    @pytest.mark.parametrize("a", (0.0, 0.31, -0.951, 0.999))
+    def test_scalar_matches_lfilter(self, a, n):
+        b = np.random.default_rng(n).standard_normal(n)
+        ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
+        assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", SCAN_LENGTHS)
+    @pytest.mark.parametrize("kind", ("jittered", "unit_steps"))
+    def test_array_matches_loop(self, kind, n):
+        rng = np.random.default_rng(n)
+        a = memory_coefficients(kind, n, rng)
+        b = rng.standard_normal(n)
+        assert ts.ar1_scan(a, b, -0.4).tobytes() == loop_reference(a, b, -0.4).tobytes()
+
+    @pytest.mark.parametrize("a", (0.9, -0.951))
+    def test_boundary_repair(self, monkeypatch, a):
+        # warm-ups well short of the decay length leave block boundaries that
+        # disagree; the repaired blocks must still give the exact result
+        repairs = []
+        loop = ts._scan_loop
+
+        def counting_loop(*args):
+            repairs.append(args[1].size)
+            return loop(*args)
+
+        monkeypatch.setattr(ts, "SCAN_WARMUP_MARGIN", -40)
+        monkeypatch.setattr(ts, "_scan_loop", counting_loop)
+        n = 300_000
+        b = np.random.default_rng(5).standard_normal(n)
+        ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
+        assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()
+        assert len(repairs) > 10 and max(repairs) < ts.SCAN_CHUNK
+
+    def test_repair_rechecks_next_block(self, monkeypatch):
+        # zero inputs keep block 4's warm-up at exactly 0 while the true state
+        # is small but not 0, so block 4 is repaired. Block 5 warms up over
+        # block 4's samples from 0 too and agrees with block 4's unrepaired
+        # end; only the check against the repaired end finds it wrong.
+        monkeypatch.setattr(ts, "SCAN_WARMUP_MARGIN", -40)
+        a, k = 0.5, ts._scan_warmup(0.5)
+        b = np.random.default_rng(8).standard_normal(100 * k)
+        b[3 * k : 4 * k] = 0.0
+        ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
+        assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()

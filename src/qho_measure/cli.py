@@ -9,8 +9,9 @@ own output.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
-file or QHO_SEED; a usage error; an --out that cannot be written), 4
-resonance or a setup whose numbers leave float range.
+file or QHO_SEED; a usage error; an --out that cannot be written; jitter
+with the grid engine), 4 resonance, a setup whose numbers leave float range,
+or a grid setup whose limiting width leaves the default grid too coarse.
 """
 from __future__ import annotations
 
@@ -268,6 +269,8 @@ def _running_std_checkpoints(n: int) -> list[int]:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    if cfg.engine == "grid" and cfg.jitter_std != 0.0:
+        raise ConfigError("--jitter-std is not supported by --engine grid")
     chain_cfg = cfg.chain_config()
     params = cfg.oscillator()
     cf = ChainClosedForm.from_setup(params, cfg.scheme(), cfg.packet())

@@ -1,12 +1,18 @@
 """Brute-force oracle: Schrodinger evolution on a uniform spatial grid.
 
-Symmetric (Strang) split-operator stepping with a spectral kinetic term.
-Nothing in here knows the closed-form width evolution; the point is to
-validate those formulas and the chain construction from first principles.
+Harmonic evolution for a time t is a rotation of phase space, which the
+three-shear (metaplectic) factorisation evaluates exactly with one FFT pair:
+a position chirp, a momentum chirp, the same position chirp (Ozaktas et al.,
+IEEE TSP 44, 1996; Paeth 1986). Symmetric (Strang) split-operator stepping
+with a spectral kinetic term is kept as the step-by-step route, taken when a
+time step is given. Nothing in here knows the closed-form width evolution;
+the point is to validate those formulas and the chain construction from
+first principles.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain_analytics import EPS_RES, ChainClosedForm, limiting_sigma, povm_parameters
-from .errors import GridTooCoarse, GridTooSmall, LeakageError
+from .errors import DomainError, GridTooCoarse, GridTooSmall, LeakageError
 from .gaussian_core import Gaussian, OscillatorParams, WavePacket
 from .trajectory_sim import ChainConfig, MeasurementRecord
 
@@ -104,24 +110,51 @@ def init_packet(grid: Grid, packet: WavePacket) -> GridWavefunction:
     return GridWavefunction(grid, psi).renormalized()
 
 
+@functools.lru_cache(maxsize=16)
+def _rotation_chirps(
+    grid: Grid, t: float, params: OscillatorParams
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Position chirp cx, momentum chirp ck and the number of pieces whose
+    product cx ifft(ck fft(cx psi)), applied pieces times, is U(t) up to a
+    global phase.
+
+    theta = omega t is reduced mod 2 pi (densities are T-periodic); above
+    pi/2 it is halved, so tan(theta/2) stays at most 1.
+    """
+    theta = math.remainder(params.omega * t, 2.0 * math.pi)
+    pieces = 2 if abs(theta) > 0.5 * math.pi else 1
+    theta /= pieces
+    m_omega = params.mass * params.omega
+    cx = np.exp(-0.5j * m_omega * math.tan(0.5 * theta) / params.hbar * grid.x**2)
+    ck = np.exp(-0.5j * params.hbar * math.sin(theta) / m_omega * grid.k**2)
+    cx.flags.writeable = False
+    ck.flags.writeable = False
+    return cx, ck, pieces
+
+
 def evolve(
     psi: GridWavefunction,
     t: float,
     params: OscillatorParams,
     dt: float | None = None,
 ) -> GridWavefunction:
-    """Propagate under V = (1/2) m omega^2 x^2 for time t (Strang splitting).
+    """Propagate under V = (1/2) m omega^2 x^2 for time t.
 
-    dt defaults to T / DEFAULT_STEPS_PER_PERIOD; the actual step is t/n_steps
-    with n_steps chosen so the requested time is hit exactly.
+    Without dt the propagation is exact: one position-momentum-position
+    chirp product per piece (see _rotation_chirps). With dt it takes Strang
+    steps of t/n_steps, n_steps chosen so the requested time is hit exactly.
     """
     if t == 0.0:
         return GridWavefunction(psi.grid, psi.psi.copy())
+    grid = psi.grid
     if dt is None:
-        dt = params.period / DEFAULT_STEPS_PER_PERIOD
+        cx, ck, pieces = _rotation_chirps(grid, t, params)
+        out = psi.psi
+        for _ in range(pieces):
+            out = cx * np.fft.ifft(ck * np.fft.fft(cx * out))
+        return GridWavefunction(grid, out)
     n_steps = max(1, round(abs(t) / dt))
     dt = t / n_steps
-    grid = psi.grid
     hbar, m = params.hbar, params.mass
     v = 0.5 * m * params.omega**2 * grid.x**2
     half_pot = np.exp(-0.5j * dt * v / hbar)
@@ -190,6 +223,21 @@ def default_grid_for(cfg: ChainConfig, n_points: int = DEFAULT_N_POINTS) -> Grid
     return Grid.symmetric(12.0 * scale, n_points)
 
 
+def _refuse_unresolved(cfg: ChainConfig, grid: Grid, sigma_inf: float | None) -> None:
+    """The default grid spans +-12 max(sigma_inf, sigma_gs) on a fixed number
+    of points; a large sigma_inf or a tiny width leaves its spacing too coarse
+    for the instrument or the initial packet."""
+    widths = {"sigma_M": cfg.scheme.sigma_M, "sigma_x0": cfg.initial.sigma_x0}
+    unresolved = [f"{name}={w:.4g}" for name, w in widths.items() if w <= 4.0 * grid.dx]
+    if unresolved:
+        limit = "none at resonance" if sigma_inf is None else f"{sigma_inf:.4g}"
+        raise DomainError(
+            f"the default grid spans +-12 max(sigma_inf, sigma_gs) = +-{grid.x_max:.4g} "
+            f"(sigma_inf={limit}) on {grid.n_points} points, so dx={grid.dx:.4g} cannot resolve "
+            f"{' or '.join(unresolved)} (needs dx < width/4)"
+        )
+
+
 def run_chain_grid(
     cfg: ChainConfig,
     grid: Grid | None = None,
@@ -197,15 +245,15 @@ def run_chain_grid(
     dt: float | None = None,
 ) -> MeasurementRecord:
     """Full measurement chain driven by grid dynamics."""
+    cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
+    sigma_inf = limiting_sigma(cf) if cf.sin_abs > EPS_RES else None
     if grid is None:
         grid = default_grid_for(cfg)
-    cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
-    if cf.sin_abs > EPS_RES:
-        needed = 8.0 * limiting_sigma(cf)
-        if grid.x_max < needed:
-            raise GridTooSmall(
-                f"grid extent {grid.x_max} < 8 sigma_inf = {needed:.4g}"
-            )
+        _refuse_unresolved(cfg, grid, sigma_inf)
+    if sigma_inf is not None and grid.x_max < 8.0 * sigma_inf:
+        raise GridTooSmall(
+            f"grid extent {grid.x_max} < 8 sigma_inf = {8.0 * sigma_inf:.4g}"
+        )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     wf = init_packet(grid, cfg.initial)
     samples = np.empty(cfg.n_measurements)

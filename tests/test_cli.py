@@ -232,6 +232,12 @@ BAD_INPUTS = [
     # usage errors: exit 2 would read as a validation failure
     (["simulate", "--bogus"], None, None, 3),
     (["simulate", "--x0", "-inf"], None, None, 3),
+    # the grid engine evolves for exactly t_M; it has no jittered period
+    (["simulate", "--engine", "grid", "--n", "3", "--jitter-std", "0.5"], None, None, 3),
+    # sigma_inf ~ 50 sigma_gs stretches the default grid past resolving sigma_M
+    (["simulate", "--engine", "grid", "--n", "3", "--varsigma-m", "0.01"], None, None, 4),
+    (["simulate", "--engine", "grid", "--n", "3", "--tau-m", "0.5", "--varsigma-m", "0.01"],
+     None, None, 4),
 ]
 
 

@@ -20,7 +20,7 @@ from qho_measure import (
     measure_and_collapse,
     run_chain_grid,
 )
-from qho_measure.grid_oracle import _sample_from_density, default_grid_for
+from qho_measure.grid_oracle import _rotation_chirps, _sample_from_density, default_grid_for
 
 
 class TestGrid:
@@ -118,6 +118,50 @@ class TestEvolve:
         assert abs(coarse.position_std() - fine.position_std()) < 1e-6
 
 
+class TestExactEvolve:
+    """evolve without dt: the exact three-chirp rotation."""
+
+    PARAMS = OscillatorParams(1.0, 0.707, 1.0)
+    # wide enough that no evolved packet below reaches the boundary
+    GRID = Grid.symmetric(25.0, 2048)
+    FRACS = (0.08, 0.1, 0.2, 0.23, 0.25, 0.38, 0.45, 0.46, 0.5, 0.7, 1.0, 1.3, -0.3)
+
+    @pytest.mark.parametrize("s0", (0.3, 0.7, 1.5))
+    def test_matches_closed_form(self, s0):
+        T = self.PARAMS.period
+        packet = WavePacket(1.0, s0)
+        wf0 = init_packet(self.GRID, packet)
+        for frac in self.FRACS:
+            out = evolve(wf0, frac * T, self.PARAMS)
+            ref = evolved_density(self.PARAMS, packet, frac * T)
+            assert np.isfinite(out.psi).all()
+            assert abs(out.position_std() / ref.std - 1.0) <= 1e-12
+            assert abs(out.position_mean() - ref.mean) <= 1e-12 * max(abs(ref.mean), ref.std)
+            assert abs(out.norm() - 1.0) <= 1e-12
+
+    def test_matches_strang(self):
+        T = self.PARAMS.period
+        wf0 = init_packet(self.GRID, WavePacket(1.0, 0.7))
+        for frac in (0.2, 0.38):
+            exact = evolve(wf0, frac * T, self.PARAMS)
+            strang = evolve(wf0, frac * T, self.PARAMS, dt=T / 4096)
+            assert np.max(np.abs(exact.density() - strang.density())) <= 1e-6
+
+    @pytest.mark.parametrize("frac,mean,pieces", ((0.5, -2.0, 2), (1.0, 2.0, 1)))
+    def test_half_and_full_period(self, frac, mean, pieces):
+        # omega t = pi is applied in two halves, where tan(theta/2) is finite;
+        # omega t = 2 pi reduces to theta ~ 0. Half a period mirrors the
+        # packet, a full one restores it.
+        T = self.PARAMS.period
+        assert _rotation_chirps(self.GRID, frac * T, self.PARAMS)[2] == pieces
+        wf0 = init_packet(self.GRID, WavePacket(2.0, 0.7))
+        out = evolve(wf0, frac * T, self.PARAMS)
+        assert np.isfinite(out.psi).all()
+        assert abs(out.position_mean() - mean) <= 1e-12
+        assert abs(out.position_std() / 0.7 - 1.0) <= 1e-12
+        assert abs(out.norm() - 1.0) <= 1e-12
+
+
 class TestSampling:
     def test_delta_density_sampled_in_place(self, rng):
         g = Grid.symmetric(6.0, 1024)
@@ -170,6 +214,12 @@ class TestRunChainGrid:
         cfg = self._cfg(30)
         a = run_chain_grid(cfg, dt=cfg.params.period / 128)
         b = run_chain_grid(cfg, dt=cfg.params.period / 128)
+        assert np.array_equal(a.samples, b.samples)
+
+    def test_deterministic_exact_path(self):
+        cfg = self._cfg(30)
+        a = run_chain_grid(cfg)
+        b = run_chain_grid(cfg)
         assert np.array_equal(a.samples, b.samples)
 
     def test_replace_chain_std_near_limit(self):

@@ -31,7 +31,6 @@ from .gaussian_core import (
     WavePacket,
     evolved_density,
     evolved_width,
-    gaussian_overlap_integral,
     gaussian_product,
 )
 from .grid_oracle import (

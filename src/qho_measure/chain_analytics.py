@@ -111,9 +111,11 @@ def _geometric_sum(q: float, m: int) -> float:
     return (1.0 - q**m) / (1.0 - q)
 
 
-def density_before_nth(cf: ChainClosedForm, n: int) -> Gaussian:
-    """Outcome density just before the n-th measurement (n >= 1).
+def density_before_nth(cf: ChainClosedForm, n: int, x0: float = 0.0) -> Gaussian:
+    """Outcome density just before the n-th measurement (n >= 1) of a chain
+    started from a packet centered at x0.
 
+    Mean: x0 * rho^n.
     Variance: sigma_step^2 * sum_{k=0}^{n-2} rho^(2k)
               + sigma_first^2 * rho^(2(n-1)).
     """
@@ -121,7 +123,7 @@ def density_before_nth(cf: ChainClosedForm, n: int) -> Gaussian:
         raise ValueError("n must be >= 1")
     q = cf.rho * cf.rho
     var = cf.sigma_step**2 * _geometric_sum(q, n - 1) + cf.sigma_first**2 * q ** (n - 1)
-    return Gaussian(mean=0.0, std=math.sqrt(var))
+    return Gaussian(mean=x0 * cf.rho**n, std=math.sqrt(var))
 
 
 def limiting_sigma(cf: ChainClosedForm) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -36,6 +35,7 @@ from .chain_analytics import (
     nondim_limit,
     optimal_precision,
 )
+from .csv_rows import sample_rows
 from .errors import ConfigError, DomainError, QhoError, ResonanceError
 from .gaussian_core import Gaussian, OscillatorParams, WavePacket
 from .grid_oracle import CollapseMode, default_grid_for, run_chain_grid
@@ -55,8 +55,9 @@ EXIT_CONFIG = 3
 EXIT_RESONANCE = 4
 
 CSV_VERSION = "v1"
-# samples.csv is formatted and written this many rows at a time
-CSV_ROWS_PER_WRITE = 1 << 16
+# samples.csv is formatted and written this many rows at a time; the
+# formatter's working set grows with it
+CSV_ROWS_PER_WRITE = 1 << 14
 
 
 @dataclass
@@ -302,19 +303,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     written: list[Path] = []
     try:
         path = out / "samples.csv"
-        with path.open("w") as f:
+        with path.open("wb") as f:
             written.append(path)
-            f.write(f"# qho-measure samples {CSV_VERSION}\n")
-            f.write("index,x_M,t_eff\n")
-            t_m = repr(float(cfg.t_m))
+            f.write(f"# qho-measure samples {CSV_VERSION}\nindex,x_M,t_eff\n".encode())
             for lo in range(0, len(samples), CSV_ROWS_PER_WRITE):
-                hi = min(lo + CSV_ROWS_PER_WRITE, len(samples))
-                if periods is None:
-                    t_eff = itertools.repeat(t_m)
-                else:
-                    t_eff = map(repr, periods[lo:hi].tolist())
-                x_m = samples[lo:hi].tolist()
-                f.write("".join(map("{},{!r},{}\n".format, range(lo + 1, hi + 1), x_m, t_eff)))
+                hi = lo + CSV_ROWS_PER_WRITE
+                t_eff = cfg.t_m if periods is None else periods[lo:hi]
+                f.write(sample_rows(lo + 1, samples[lo:hi], t_eff))
 
         path = out / "running_std.csv"
         with path.open("w") as f:

@@ -1,9 +1,9 @@
 """Closed-form Gaussian densities and their evolution in a harmonic well.
 
 Everything here is exact algebra on normalized Gaussians: the evolved
-width/center of a Gaussian packet under harmonic dynamics, products and
-overlap integrals of Gaussian densities. All types are immutable values
-and all functions are pure.
+width/center of a Gaussian packet under harmonic dynamics, and products of
+Gaussian densities. All types are immutable values and all functions are
+pure.
 """
 from __future__ import annotations
 
@@ -96,23 +96,10 @@ def evolved_density(params: OscillatorParams, packet: WavePacket, t: float) -> G
     )
 
 
-def gaussian_product(a: Gaussian, b: Gaussian) -> tuple[Gaussian, float]:
-    """Pointwise product of two Gaussian pdfs, as (normalized Gaussian, scale).
-
-    scale * result.pdf(x) == a.pdf(x) * b.pdf(x) for all x.
-    """
+def gaussian_product(a: Gaussian, b: Gaussian) -> Gaussian:
+    """Pointwise product of two Gaussian pdfs, normalized: proportional to
+    a.pdf(x) * b.pdf(x)."""
     va, vb = a.variance, b.variance
     v = va * vb / (va + vb)
     mean = (a.mean * vb + b.mean * va) / (va + vb)
-    # the scale is the overlap integral of the two inputs
-    scale = gaussian_overlap_integral(a, b)
-    return Gaussian(mean=mean, std=math.sqrt(v)), scale
-
-
-def gaussian_overlap_integral(a: Gaussian, b: Gaussian) -> float:
-    """Integral of a.pdf(x) * b.pdf(x) over the real line.
-
-    Equals the pdf of N(0, a.std^2 + b.std^2) evaluated at a.mean - b.mean.
-    """
-    s = math.hypot(a.std, b.std)
-    return float(Gaussian(mean=0.0, std=s).pdf(a.mean - b.mean))
+    return Gaussian(mean=mean, std=math.sqrt(v))

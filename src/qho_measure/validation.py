@@ -164,7 +164,7 @@ def check_povm_roundtrip(n_cases: int = 100, seed: int = 11, tol: float = 1e-9) 
         prior = Gaussian(rng.normal(0, 2), sigma_M * rng.uniform(1.01, 100.0))
         x_M = rng.normal(0, 2)
         sigma_W, x_W = povm_parameters(sigma_M, x_M, prior)
-        prod, _ = gaussian_product(Gaussian(x_W, sigma_W), prior)
+        prod = gaussian_product(Gaussian(x_W, sigma_W), prior)
         scale = max(abs(x_M), sigma_M)
         err = max(abs(prod.std / sigma_M - 1.0), abs(prod.mean - x_M) / scale)
         worst = max(worst, err)

@@ -258,7 +258,7 @@ def test_criterion_10_povm_roundtrip():
         prior = Gaussian(float(rng.normal(0.0, 2.0)), s_psi)
         x_M = float(rng.normal(0.0, 2.0))
         sW, xW = povm_parameters(sigma_M, x_M, prior)
-        post, _ = gaussian_product(Gaussian(xW, sW), prior)
+        post = gaussian_product(Gaussian(xW, sW), prior)
         worst = max(
             worst,
             abs(post.mean - x_M) / max(1.0, abs(x_M)),

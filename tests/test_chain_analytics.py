@@ -24,6 +24,7 @@ from qho_measure import (
     optimal_precision,
     povm_parameters,
 )
+from qho_measure.trajectory_sim import ar1_scan
 from conftest import REF_SIGMA_INF
 
 
@@ -72,6 +73,16 @@ class TestDensityBeforeNth:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             density_before_nth(make_cf(), 0)
+
+    def test_mean_follows_noise_free_recursion(self):
+        # with every kick zero the chain is x_i = rho x_{i-1} from x0
+        for rho in (0.6, -0.83, 0.999):
+            cf = make_cf(sigma_step=0.9, sigma_first=2.1, rho=rho)
+            path = ar1_scan(rho, np.zeros(40), -2.5)
+            for n in (1, 2, 3, 17, 40):
+                mean = density_before_nth(cf, n, x0=-2.5).mean
+                assert abs(mean - path[n - 1]) <= 1e-14 * 2.5
+            assert density_before_nth(cf, 5).mean == 0.0
 
 
 class TestLimitingSigma:
@@ -242,7 +253,7 @@ class TestPovmParameters:
             x_M = float(rng.normal(0.0, 2.0))
             prior = Gaussian(mu, s_psi)
             sW, xW = povm_parameters(sigma_M, x_M, prior)
-            post, _ = gaussian_product(Gaussian(xW, sW), prior)
+            post = gaussian_product(Gaussian(xW, sW), prior)
             assert abs(post.mean - x_M) < 1e-9 * max(1.0, abs(x_M))
             assert abs(post.std - sigma_M) < 1e-9 * sigma_M
 

@@ -10,7 +10,6 @@ from qho_measure import (
     WavePacket,
     evolved_density,
     evolved_width,
-    gaussian_overlap_integral,
     gaussian_product,
 )
 
@@ -118,62 +117,35 @@ class TestEvolvedDensity:
 
 class TestGaussianProduct:
     def test_equal_gaussians(self):
-        g, scale = gaussian_product(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
+        g = gaussian_product(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
         assert abs(g.mean) < 1e-15
         assert abs(g.std - 1.0 / math.sqrt(2.0)) < 1e-15
-        assert scale > 0.0
 
     def test_flat_prior_limit(self):
         a = Gaussian(1.5, 0.3)
         b = Gaussian(0.0, 0.3e6)
-        g, _ = gaussian_product(a, b)
+        g = gaussian_product(a, b)
         assert abs(g.mean - a.mean) < 1e-5
         assert abs(g.std - a.std) < 1e-5
 
     def test_hand_case(self):
         # var 1 and var 4 at means 2 and 0: posterior var 4/5, mean 8/5
-        g, _ = gaussian_product(Gaussian(2.0, 1.0), Gaussian(0.0, 2.0))
+        g = gaussian_product(Gaussian(2.0, 1.0), Gaussian(0.0, 2.0))
         assert abs(g.variance - 0.8) < 1e-14
         assert abs(g.mean - 1.6) < 1e-14
 
     def test_pointwise_identity(self, rng):
-        # scale * product.pdf(x) == a.pdf(x) * b.pdf(x) everywhere
+        # a.pdf(x) * b.pdf(x) == overlap * product.pdf(x) everywhere, where
+        # the overlap integral is the pdf of N(0, a.std^2 + b.std^2) at the
+        # distance of the means, checked here by quadrature
         for _ in range(30):
             a = Gaussian(float(rng.normal()), float(rng.uniform(0.2, 3.0)))
             b = Gaussian(float(rng.normal()), float(rng.uniform(0.2, 3.0)))
-            g, scale = gaussian_product(a, b)
+            g = gaussian_product(a, b)
+            overlap = float(Gaussian(0.0, math.hypot(a.std, b.std)).pdf(a.mean - b.mean))
+            ref, _ = quad(lambda x: a.pdf(x) * b.pdf(x), g.mean - 12 * g.std, g.mean + 12 * g.std)
+            assert abs(overlap - ref) < 1e-9
             xs = np.linspace(g.mean - 6 * g.std, g.mean + 6 * g.std, 101)
-            lhs = scale * g.pdf(xs)
+            lhs = overlap * g.pdf(xs)
             rhs = a.pdf(xs) * b.pdf(xs)
             assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(rhs)
-
-    def test_scale_equals_overlap_integral(self, rng):
-        for _ in range(30):
-            a = Gaussian(float(rng.normal()), float(rng.uniform(0.2, 3.0)))
-            b = Gaussian(float(rng.normal()), float(rng.uniform(0.2, 3.0)))
-            _, scale = gaussian_product(a, b)
-            assert abs(scale - gaussian_overlap_integral(a, b)) < 1e-14
-
-
-class TestOverlapIntegral:
-    def test_reference_value(self):
-        # sigma 3 and 4 at the same mean: 1 / (sqrt(2 pi) * 5)
-        val = gaussian_overlap_integral(Gaussian(0.0, 3.0), Gaussian(0.0, 4.0))
-        assert abs(val - 0.07978845608028655) < 1e-15
-
-    def test_separated_means(self):
-        val = gaussian_overlap_integral(Gaussian(2.0, 1.0), Gaussian(0.0, 1.0))
-        assert abs(val - 0.10377687435514868) < 1e-15
-
-    def test_vanishes_at_large_separation(self):
-        val = gaussian_overlap_integral(Gaussian(100.0, 1.0), Gaussian(0.0, 1.0))
-        assert val < 1e-300 or val == 0.0
-
-    def test_matches_quadrature(self, rng):
-        for _ in range(20):
-            a = Gaussian(float(rng.normal()), float(rng.uniform(0.1, 5.0)))
-            b = Gaussian(float(rng.normal()), float(rng.uniform(0.1, 5.0)))
-            lo = min(a.mean, b.mean) - 12 * max(a.std, b.std)
-            hi = max(a.mean, b.mean) + 12 * max(a.std, b.std)
-            ref, _ = quad(lambda x: a.pdf(x) * b.pdf(x), lo, hi, limit=200)
-            assert abs(gaussian_overlap_integral(a, b) - ref) < 1e-9

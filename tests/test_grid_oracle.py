@@ -226,7 +226,7 @@ class TestRunChainGrid:
         from qho_measure import ChainClosedForm
 
         cfg = self._cfg(2500)
-        record = run_chain_grid(cfg, dt=cfg.params.period / 128)
+        record = run_chain_grid(cfg)
         cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
         target = limiting_sigma(cf)
         assert abs(np.std(record.samples) / target - 1.0) < 0.05
@@ -234,7 +234,7 @@ class TestRunChainGrid:
     def test_memoryless_period_decorrelates(self):
         # quarter-period measurement: rho = 0, lag-1 autocorrelation small
         cfg = self._cfg(2500, tau=0.25)
-        record = run_chain_grid(cfg, dt=cfg.params.period / 128)
+        record = run_chain_grid(cfg)
         x = record.samples - np.mean(record.samples)
         r1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(r1) < 0.05

@@ -79,7 +79,7 @@ class RunningStats:
     """Streaming count/mean/variance (Welford/Chan) plus a fixed-bin histogram.
 
     Histogram counts have two overflow slots: counts[0] below edges[0],
-    counts[-1] at or above edges[-1].
+    counts[-1] above edges[-1] (the last bin is closed, as in np.histogram).
     """
 
     edges: np.ndarray
@@ -119,7 +119,7 @@ class RunningStats:
         inner, _ = np.histogram(xs, bins=self.edges)
         self.counts[1:-1] += inner
         self.counts[0] += int((xs < self.edges[0]).sum())
-        self.counts[-1] += int((xs >= self.edges[-1]).sum())
+        self.counts[-1] += int((xs > self.edges[-1]).sum())
 
     def _merge_moments(self, nb: int, mb: float, m2b: float) -> None:
         na = self.count

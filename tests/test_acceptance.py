@@ -9,6 +9,7 @@ of settling at the closed-form limit. The replacement collapse resets the
 phase each step, which is exactly what makes that chain stationary. The test
 states the criterion faithfully and reports the divergence honestly.
 """
+import itertools
 import math
 import time
 
@@ -46,7 +47,8 @@ from qho_measure import (
 )
 from qho_measure.cli import main as cli_main
 from qho_measure.grid_oracle import Grid, evolve
-from qho_measure.validation import two_step_std_quadrature
+from qho_measure import validation
+from qho_measure.validation import check_two_step_quadrature, two_step_std_quadrature
 
 PARAMS = OscillatorParams(mass=1.0, omega=0.707, hbar=1.0)
 SCHEME = MeasurementScheme(t_M=0.2 * PARAMS.period, sigma_M=0.5)
@@ -147,6 +149,48 @@ def test_criterion_05_two_step_quadrature():
     _report(5, "second-density quadrature oracle", ok,
             f"worst rel gap {worst:.2e} (tol 1e-6)")
     assert ok
+
+
+def _grid(lo, hi):
+    return np.linspace(lo, hi, 3)  # both corners and the midpoint
+
+
+QUADRATURE_BOXES = {
+    # check_two_step_quadrature's sampling box: t_M/T, sigma_M, sigma_x0
+    "battery": [
+        ChainClosedForm.from_setup(
+            PARAMS, MeasurementScheme(t_M=f * PARAMS.period, sigma_M=s_m), WavePacket(0.0, s_x0)
+        )
+        for f, s_m, s_x0 in itertools.product(_grid(0.05, 0.45), _grid(0.2, 2.0), _grid(0.2, 2.0))
+    ],
+    # criterion 5's sampling box: sigma_step, sigma_first, rho
+    "criterion_05": [
+        ChainClosedForm(sigma_step=a, sigma_first=b, rho=r)
+        for a, b, r in itertools.product(_grid(0.3, 2.0), _grid(0.3, 3.0), _grid(-0.95, 0.95))
+    ],
+}
+
+
+@pytest.mark.parametrize("box", sorted(QUADRATURE_BOXES))
+def test_two_step_quadrature_default_nodes_match_1601(box):
+    # the 401-node default agrees with a 4x finer trapezoid rule to the float floor
+    for cf in QUADRATURE_BOXES[box]:
+        fine = two_step_std_quadrature(cf, n_nodes=1601)
+        assert abs(two_step_std_quadrature(cf) / fine - 1.0) <= 1e-13, cf
+
+
+def test_two_step_quadrature_detects_2e6_closed_form_error(monkeypatch):
+    # a closed form off by 2e-6 relative must still fail the 1e-6 check
+    exact = validation.density_before_nth
+
+    def off(cf, n, x0=0.0):
+        g = exact(cf, n, x0)
+        return Gaussian(g.mean, g.std * (1.0 + 2e-6))
+
+    monkeypatch.setattr(validation, "density_before_nth", off)
+    result = check_two_step_quadrature(PARAMS)
+    assert not result.passed
+    assert result.measured > result.tolerance == 1e-6
 
 
 def test_criterion_06_partial_sum_oracle():

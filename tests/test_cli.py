@@ -189,9 +189,12 @@ class TestValidate:
         out = tmp_path / "o"
         rc = main(["validate", "--n", "60000", "--out", str(out)])
         assert rc == 0
-        data = json.loads((out / "validate.json").read_text())
+        data = strict_json(out / "validate.json")
         assert all(c["passed"] for c in data["checks"])
         assert len(data["checks"]) >= 6
+        for c in data["checks"]:
+            assert c["margin"] == c["measured"] / c["tolerance"]
+            assert 0.0 <= c["margin"] <= 1.0
 
     def test_designed_failure_exit_code(self, tmp_path, capsys):
         # a 256-point grid cannot resolve the instrument width
@@ -201,6 +204,12 @@ class TestValidate:
         data = strict_json(out / "validate.json")
         assert any(not c["passed"] for c in data["checks"])
         assert "FAIL" in capsys.readouterr().out
+        crashed = [c for c in data["checks"] if c["measured"] is None]
+        assert crashed and all(c["margin"] is None for c in crashed)
+        for c in data["checks"]:
+            if c["measured"] is not None:
+                assert c["margin"] == c["measured"] / c["tolerance"]
+                assert (c["margin"] <= 1.0) == c["passed"]
 
 
 # Bad inputs: (argv, config-file object or None, QHO_SEED or None, exit code).

@@ -152,6 +152,17 @@ class TestRunningStats:
         assert int(np.sum(st.counts)) == 2000
         assert st.counts[0] > 0 and st.counts[-1] > 0
 
+    def test_histogram_counts_each_edge_sample_once(self):
+        st = RunningStats.for_scale(1.0)
+        lo, hi = st.edges[0], st.edges[-1]
+        xs = np.array([hi, lo, 0.0, np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf),
+                       2.0 * hi, 2.0 * lo, np.nextafter(hi, -np.inf)])
+        st.push_array(xs)
+        assert int(np.sum(st.counts)) == st.count == xs.size
+        # the last bin is closed, so edges[-1] itself is in range
+        assert st.counts[0] == 2 and st.counts[-1] == 2
+        assert st.counts[1] == 1 and st.counts[-2] == 2
+
 
 class TestRunEnsemble:
     def test_pooled_count(self, ref_config):

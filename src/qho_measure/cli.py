@@ -341,10 +341,20 @@ def cmd_simulate(cfg: RunConfig) -> int:
             thinned = samples[::thin_k]
             if len(thinned) >= 100:
                 ks = normality_statistic(thinned, sigma_inf)
+        # AR(1) standard error of the sample std, for chains that are
+        # stationary at sigma_inf: not jittered ones, nor weak grid chains
+        weak_grid = cfg.engine == "grid" and cfg.collapse == "weak"
+        se = z = None
+        if sample_std is not None and sigma_inf is not None and cfg.jitter_std == 0.0 and not weak_grid:
+            n_eff = len(samples) * (1.0 - cf.rho**2) / (1.0 + cf.rho**2)
+            se = sigma_inf / math.sqrt(2.0 * n_eff)
+            z = (sample_std - sigma_inf) / se
         summary = {
             "config": asdict(cfg),
             "n_samples": int(len(samples)),
             "sample_std": sample_std,
+            "sample_std_se": se,
+            "sample_std_z": z,
             "sigma_inf_predicted": sigma_inf,
             "relative_error": (
                 abs(sample_std / sigma_inf - 1.0)
@@ -378,7 +388,7 @@ def _axis(flag: str, triple, log: bool) -> np.ndarray:
     if count < 2:
         raise ConfigError("sweep axis count must be >= 2")
     if log:
-        if lo <= 0:
+        if min(lo, hi) <= 0:
             raise ConfigError("log-spaced sweep axis needs positive bounds")
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)

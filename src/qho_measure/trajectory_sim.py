@@ -9,10 +9,10 @@ exact linear Gaussian chain:
 with iid standard-normal eta. No discretization is involved; the grid
 oracle exists to cross-check this construction, not the other way round.
 
-The recurrence is evaluated by ar1_scan, a numpy-only block scan that
+The recurrence is evaluated by ar1_scan, a numpy-only lane scan that
 gives the same bits as the step-by-step loop (one rounded product and one
 rounded sum per step), so a seed's output does not depend on how the scan
-is cut into chunks and blocks.
+is cut into chunks and lanes.
 
 RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
@@ -43,12 +43,14 @@ HIST_BINS = 200
 HIST_HALF_WIDTH_SIGMAS = 6.0
 
 # ar1_scan works on chunks of this many samples, which bounds its scratch
-# memory whatever the chain length.
-SCAN_CHUNK = 1 << 17
-# Warm-up steps added to the 53-bit decay length of each block.
+# memory whatever the chain length, and runs its loop on pieces of at most
+# SCAN_LOOP_PIECE samples: longer Python lists are slower per sample.
+SCAN_CHUNK = 1 << 19
+SCAN_LOOP_PIECE = 1 << 17
+# Warm-up steps added to the 53-bit decay length of each lane.
 SCAN_WARMUP_MARGIN = 64
-# With fewer blocks side by side, the block scan is no faster than the loop.
-SCAN_MIN_BLOCKS = 32
+# With fewer lanes side by side, the lane scan is no faster than the loop.
+SCAN_MIN_LANES = 32
 
 
 @dataclass(frozen=True)
@@ -177,48 +179,46 @@ def _scan_warmup(a) -> int | None:
 
 
 def _scan_chunk(a, b: np.ndarray, y: float, out: np.ndarray) -> None:
-    """out = ar1_scan(a, b, y) for one chunk, by blocks scanned side by side.
-
-    Block j >= 1 of length k starts from zero k steps before its first sample
-    and ends its warm-up at block j-1's last sample. Where the two agree bit
-    for bit, every later step of block j repeats the sequential one exactly;
-    a block whose boundary disagrees is recomputed by the loop.
-    """
+    """out = ar1_scan(a, b, y) for one chunk, by lanes of k samples scanned side
+    by side. Lane j >= 1 warms up from zero over lane j-1; where its warm-up
+    ends on lane j-1's last value bit for bit, its later steps are the loop's.
+    Other lanes, and the samples after the last lane, go to the loop."""
     m = b.size
     k = _scan_warmup(a)
-    blocks = 0 if k is None else -(-m // k)
-    if blocks < SCAN_MIN_BLOCKS:
-        out[:] = _scan_loop(a, b, y)
+    lanes = 0 if k is None else m // k
+    if lanes < SCAN_MIN_LANES:
+        for lo in range(0, m, SCAN_LOOP_PIECE):
+            hi = min(lo + SCAN_LOOP_PIECE, m)
+            out[lo:hi] = _scan_loop(a if np.ndim(a) == 0 else a[lo:hi], b[lo:hi], y)
+            y = float(out[hi - 1])
         return
 
-    def rows(v):  # rows[t, j] = v[j k + t - k], zero outside v
-        padded = np.zeros(k + blocks * k)
-        padded[k : k + m] = v
-        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * k)[::k]
-        return np.ascontiguousarray(windows.T)
-
-    b_rows = rows(b)
-    a_rows = itertools.repeat(float(a)) if np.ndim(a) == 0 else rows(a)
-    y_rows = np.empty_like(b_rows)
-    state = np.zeros(blocks)
-    for t, (at, bt, yt) in enumerate(zip(a_rows, b_rows, y_rows)):
-        if t == k:
-            state[0] = y  # block 0 starts from the carried state
-        np.multiply(at, state, yt)
-        np.add(yt, bt, yt)
+    whole = lanes * k
+    y_rows = b[:whole].reshape(lanes, k).T.copy()  # [t, j] = b[j k + t], then y there
+    a_rows = np.broadcast_to(float(a), y_rows.shape) if np.ndim(a) == 0 else a[:whole].reshape(lanes, k).T.copy()
+    start = np.zeros(lanes)
+    warm = start[1:]
+    for at, bt in zip(a_rows[:, :-1], y_rows[:, :-1]):  # lane j over lane j-1
+        np.multiply(at, warm, warm)
+        np.add(warm, bt, warm)
+    start[0] = y  # lane 0 starts from the carried state
+    state, product = start, np.empty(lanes)
+    for at, yt in zip(a_rows, y_rows):  # the true pass, in place
+        np.multiply(at, state, product)
+        np.add(product, yt, yt)
         state = yt
-    out[:] = y_rows[k:].T.reshape(-1)[:m]
+    out[:whole].reshape(lanes, k)[:] = y_rows.T
 
-    bits = out.view(np.uint64)
-    warm_end = y_rows[k - 1].view(np.uint64)
+    bits, warm_end = out.view(np.uint64), start.view(np.uint64)
     disagree = np.flatnonzero(warm_end[1:] != y_rows[-1, :-1].view(np.uint64)) + 1
-    todo = disagree.tolist()[::-1]  # a stack, lowest block on top
+    # a stack, lowest lane on top; the tail after the last lane is lane `lanes`
+    todo = [lanes] * (whole < m) + disagree.tolist()[::-1]
     while todo:
         j = todo.pop()
         lo, hi = j * k, min(j * k + k, m)
         out[lo:hi] = _scan_loop(a if np.ndim(a) == 0 else a[lo:hi], b[lo:hi], float(out[lo - 1]))
-        # block j+1 was checked against block j's old last value
-        if j + 1 < blocks and (not todo or todo[-1] != j + 1) and warm_end[j + 1] != bits[hi - 1]:
+        # lane j+1 was checked against lane j's old last value
+        if j + 1 < lanes and (not todo or todo[-1] != j + 1) and warm_end[j + 1] != bits[hi - 1]:
             todo.append(j + 1)
 
 

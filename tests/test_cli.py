@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qho_measure
+from qho_measure import ChainClosedForm
 from qho_measure.cli import RunConfig, main
 from conftest import REF_SIGMA_INF
 
@@ -62,7 +63,7 @@ class TestAnalyze:
 
 
 class TestSimulate:
-    def test_outputs_and_summary(self, tmp_path):
+    def test_outputs_and_summary(self, tmp_path, ref_params, ref_scheme, ref_packet):
         out = tmp_path / "sim"
         rc = main(["simulate", "--n", "20000", "--seed", "3", "--out", str(out)])
         assert rc == 0
@@ -73,6 +74,11 @@ class TestSimulate:
         assert abs(summary["sigma_inf_predicted"] - REF_SIGMA_INF) < 1e-12
         assert summary["relative_error"] < 0.05
         assert summary["thinning_interval"] == 3
+        rho = ChainClosedForm.from_setup(ref_params, ref_scheme, ref_packet).rho
+        n_eff = 20000 * (1 - rho**2) / (1 + rho**2)
+        se = summary["sigma_inf_predicted"] / math.sqrt(2 * n_eff)
+        assert abs(summary["sample_std_se"] - se) <= 1e-12 * se
+        assert abs(summary["sample_std_z"]) <= 5
         header, rows = read_csv(out / "samples.csv")
         assert header == ["index", "x_M", "t_eff"]
         assert len(rows) == 20000
@@ -127,6 +133,7 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["sample_std"] is None
         assert summary["ks_statistic"] is None
+        assert summary["sample_std_se"] is None and summary["sample_std_z"] is None
         _, rows = read_csv(out / "running_std.csv")
         assert rows == [["1", ""]]
 
@@ -140,6 +147,9 @@ class TestSimulate:
         _, rows = read_csv(out / "samples.csv")
         t_effs = {r[2] for r in rows[:100]}
         assert len(t_effs) > 1  # per-step effective periods vary
+        # sigma_inf is the unjittered width, so the chain has no z against it
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["sample_std_se"] is None and summary["sample_std_z"] is None
 
     def test_grid_engine_small_run(self, tmp_path):
         out = tmp_path / "o"
@@ -150,6 +160,18 @@ class TestSimulate:
         assert rc == 0
         _, rows = read_csv(out / "samples.csv")
         assert len(rows) == 40
+
+    def test_weak_grid_chain_has_no_std_z(self, tmp_path):
+        # weak collapse heats the oscillator (criterion 12): not stationary
+        out = tmp_path / "o"
+        rc = main(
+            ["simulate", "--engine", "grid", "--collapse", "weak", "--n", "8", "--seed", "6",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["sample_std"] is not None and summary["sigma_inf_predicted"] is not None
+        assert summary["sample_std_se"] is None and summary["sample_std_z"] is None
 
 
 class TestSweep:
@@ -247,6 +269,10 @@ BAD_INPUTS = [
     (["simulate", "--engine", "grid", "--n", "3", "--varsigma-m", "0.01"], None, None, 4),
     (["simulate", "--engine", "grid", "--n", "3", "--tau-m", "0.5", "--varsigma-m", "0.01"],
      None, None, 4),
+    # a log axis needs both bounds positive, MAX as well as MIN
+    (["sweep", "--sweep-varsigma", "1", "0", "5", "--log-varsigma"], None, None, 3),
+    (["sweep", "--sweep-tau", "0.1", "0", "5", "--log-tau"], None, None, 3),
+    (["sweep", "--sweep-varsigma", "1", "-2", "5", "--log-varsigma"], None, None, 3),
 ]
 
 

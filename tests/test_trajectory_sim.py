@@ -221,7 +221,25 @@ class TestThinning:
             assert k == 1 or rho ** (k - 1) >= 0.05
 
 
-SCAN_LENGTHS = (1, 2, ts.SCAN_CHUNK - 1, ts.SCAN_CHUNK, ts.SCAN_CHUNK + 1, 10**6)
+# around the loop's piece and the scan's chunk boundaries
+SCAN_LENGTHS = (
+    1, 2, ts.SCAN_LOOP_PIECE - 1, ts.SCAN_LOOP_PIECE, ts.SCAN_LOOP_PIECE + 1,
+    ts.SCAN_CHUNK - 1, ts.SCAN_CHUNK, ts.SCAN_CHUNK + 1, 10**6,
+)
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Sizes of the pieces that ar1_scan hands to the sequential loop."""
+    calls = []
+    loop = ts._scan_loop
+
+    def counting_loop(*args):
+        calls.append(args[1].size)
+        return loop(*args)
+
+    monkeypatch.setattr(ts, "_scan_loop", counting_loop)
+    return calls
 
 
 def loop_reference(a, b, y):
@@ -247,7 +265,7 @@ class TestAr1Scan:
     """ar1_scan must give the bits of the sequential recurrence."""
 
     @pytest.mark.parametrize("n", SCAN_LENGTHS)
-    @pytest.mark.parametrize("a", (0.0, 0.31, -0.951, 0.999))
+    @pytest.mark.parametrize("a", (0.0, 0.31, -0.951, 0.992, 0.995, 0.999))
     def test_scalar_matches_lfilter(self, a, n):
         b = np.random.default_rng(n).standard_normal(n)
         ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
@@ -263,8 +281,8 @@ class TestAr1Scan:
 
     @pytest.mark.parametrize("a", (0.9, -0.951))
     def test_boundary_repair(self, monkeypatch, a):
-        # warm-ups well short of the decay length leave block boundaries that
-        # disagree; the repaired blocks must still give the exact result
+        # warm-ups well short of the decay length leave lane boundaries that
+        # disagree; the repaired lanes must still give the exact result
         repairs = []
         loop = ts._scan_loop
 
@@ -281,9 +299,9 @@ class TestAr1Scan:
         assert len(repairs) > 10 and max(repairs) < ts.SCAN_CHUNK
 
     def test_repair_rechecks_next_block(self, monkeypatch):
-        # zero inputs keep block 4's warm-up at exactly 0 while the true state
-        # is small but not 0, so block 4 is repaired. Block 5 warms up over
-        # block 4's samples from 0 too and agrees with block 4's unrepaired
+        # zero inputs keep lane 4's warm-up at exactly 0 while the true state
+        # is small but not 0, so lane 4 is repaired. Lane 5 warms up over
+        # lane 4's samples from 0 too and agrees with lane 4's unrepaired
         # end; only the check against the repaired end finds it wrong.
         monkeypatch.setattr(ts, "SCAN_WARMUP_MARGIN", -40)
         a, k = 0.5, ts._scan_warmup(0.5)
@@ -291,3 +309,40 @@ class TestAr1Scan:
         b[3 * k : 4 * k] = 0.0
         ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
         assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("a", (0.31, -0.951, 0.992))
+    def test_lanes_with_tail_and_just_over_a_chunk(self, a):
+        # whole lanes plus a partial tail; then one full chunk and a second
+        # chunk of a partial lane, which falls back to the loop
+        k = ts._scan_warmup(a)
+        for n in (40 * k + k // 2, ts.SCAN_CHUNK + k // 2):
+            b = np.random.default_rng(n).standard_normal(n)
+            ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
+            assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()
+
+    def test_last_lane_repair_reaches_through_tail(self, monkeypatch, loop_calls):
+        # zero inputs and state up to lane L-3's last sample, which is 1: only
+        # lane L-1's warm-up (from 0 over lane L-2) misses the decayed true
+        # state. Its repair must come before the tail, which starts from it.
+        monkeypatch.setattr(ts, "SCAN_WARMUP_MARGIN", -40)
+        a, k = 0.5, ts._scan_warmup(0.5)
+        lanes, tail = 40, 5
+        b = np.zeros(lanes * k + tail)
+        b[(lanes - 2) * k - 1] = 1.0
+        ref = loop_reference(np.full(b.size, a), b, 0.0)
+        assert ts.ar1_scan(a, b, 0.0).tobytes() == ref.tobytes()
+        assert loop_calls == [k, tail] and ref[-1] != 0.0
+
+    def test_too_few_lanes_take_the_loop(self, loop_calls):
+        a, k = 0.9, ts._scan_warmup(0.9)
+        b = np.random.default_rng(3).standard_normal(ts.SCAN_MIN_LANES * k)
+        ts.ar1_scan(a, b[:-1], 0.7)  # one lane short
+        assert loop_calls == [b.size - 1]
+        loop_calls.clear()
+        ts.ar1_scan(a, b, 0.7)  # enough lanes: the loop sees at most repairs
+        assert all(size <= k for size in loop_calls)
+        loop_calls.clear()
+        b = np.random.default_rng(4).standard_normal(ts.SCAN_CHUNK)
+        ref, _ = lfilter([1.0], [1.0, -0.9999], b, zi=np.array([0.9999 * 0.7]))
+        assert ts.ar1_scan(0.9999, b, 0.7).tobytes() == ref.tobytes()
+        assert loop_calls == [ts.SCAN_LOOP_PIECE] * (ts.SCAN_CHUNK // ts.SCAN_LOOP_PIECE)

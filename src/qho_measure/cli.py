@@ -4,8 +4,8 @@ Configuration comes from an optional JSON config file plus flag overrides
 (flags win). Non-dimensional inputs (tau_M = t_M/T, varsigma_M =
 sigma_M/sigma_gs) are the preferred interface; dimensional t_M/sigma_M are
 accepted for reproducing dimensional setups. Every JSON summary echoes the
-fully resolved configuration, so a run can be repeated exactly from its
-own output.
+fully resolved configuration (validate.json its --grid-n as well), so a
+run can be repeated exactly from its own output.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain_analytics import (
+    EPS_RES,
     ChainClosedForm,
     MeasurementScheme,
     NondimPoint,
@@ -44,7 +45,6 @@ from .trajectory_sim import (
     RunningStats,
     normality_statistic,
     run_chain,
-    run_chain_jittered,
     thinning_interval,
 )
 from .validation import run_battery
@@ -275,12 +275,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     chain_cfg = cfg.chain_config()
     params = cfg.oscillator()
     cf = ChainClosedForm.from_setup(params, cfg.scheme(), cfg.packet())
-    try:
-        sigma_inf = limiting_sigma(cf)
-    except ResonanceError:
-        if cfg.jitter_std == 0.0 and cfg.engine == "chain":
-            raise
-        sigma_inf = None
+    sigma_inf = limiting_sigma(cf) if cf.sin_abs > EPS_RES else None
 
     if cfg.engine == "grid":
         record = run_chain_grid(
@@ -289,8 +284,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
         stats = RunningStats.for_scale(sigma_inf if sigma_inf else 10 * params.sigma_gs)
         stats.push_array(record.samples)
-    elif cfg.jitter_std > 0:
-        record, stats = run_chain_jittered(chain_cfg)
     else:
         record, stats = run_chain(chain_cfg)
 
@@ -431,13 +424,12 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     chain_cfg = cfg.chain_config()
-    weak_gap_tol = _parse(_finite, "--weak-gap-tol", args.weak_gap_tol)
     n_points = _parse(_integer, "--grid-n", args.grid_n)
     try:
         grid = default_grid_for(chain_cfg, n_points=n_points)
     except ValueError as exc:
         raise ConfigError(f"--grid-n: {exc}") from exc
-    results = run_battery(chain_cfg, grid, weak_gap_tol=weak_gap_tol)
+    results = run_battery(chain_cfg, grid)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         if r.measured is None:  # the check crashed
@@ -450,7 +442,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "validate.json",
-        {"config": asdict(cfg), "checks": [r.as_dict() for r in results]},
+        {"config": asdict(cfg), "grid_n": n_points, "checks": [r.as_dict() for r in results]},
     )
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
@@ -498,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="cross-validation battery (closed forms vs grid)")
     _add_common_flags(p)
     p.add_argument("--grid-n", default=4096, help="grid points for the oracle")
-    p.add_argument("--weak-gap-tol", default=0.05)
     return parser
 
 

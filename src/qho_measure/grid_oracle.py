@@ -206,7 +206,7 @@ def measure_and_collapse(
     rng: np.random.Generator,
 ) -> tuple[float, GridWavefunction]:
     """Draw an outcome from |psi|^2 and apply the post-measurement update."""
-    if sigma_M < 4.0 * psi.grid.dx:
+    if sigma_M <= 4.0 * psi.grid.dx:
         raise GridTooCoarse(
             f"sigma_M={sigma_M} needs dx < sigma_M/4, have dx={psi.grid.dx:.4g}"
         )

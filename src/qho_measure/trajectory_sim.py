@@ -39,6 +39,9 @@ from .gaussian_core import OscillatorParams, WavePacket, evolved_width
 # Floor on jittered evolution times, as a fraction of the nominal period.
 T_MIN_FRACTION = 1e-6
 
+# Thinned chain output keeps at most this much lag-k correlation.
+THINNING_THRESHOLD = 0.05
+
 HIST_BINS = 200
 HIST_HALF_WIDTH_SIGMAS = 6.0
 
@@ -239,60 +242,52 @@ def ar1_scan(a, b: np.ndarray, y0: float) -> np.ndarray:
     return out
 
 
-def _histogram_scale(cf: ChainClosedForm, params: OscillatorParams) -> float:
-    if cf.sin_abs > EPS_RES:
-        return limiting_sigma(cf)
-    # resonant chain has no limiting width; use a generous fallback
-    return 10.0 * max(cf.sigma_first, cf.sigma_step, params.sigma_gs)
-
-
 def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence):
-    cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
-    if cf.sin_abs <= EPS_RES:
+    """Draw and scan one chain. Without jitter every step has the nominal
+    memory coefficient and width; with it, the periods are drawn first and
+    each step's coefficient and width are recomputed for its period."""
+    params, scheme, n = cfg.params, cfg.scheme, cfg.n_measurements
+    cf = ChainClosedForm.from_setup(params, scheme, cfg.initial)
+    resonant = cf.sin_abs <= EPS_RES
+    if resonant and scheme.jitter_std == 0.0:
         raise ResonanceError(
-            f"t_M = {cfg.scheme.t_M} resonant: chain variance diverges without jitter"
+            f"t_M = {scheme.t_M} resonant: chain variance diverges without jitter"
         )
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    eta = _standard_normal(rng, cfg.n_measurements)
-    noise = cf.sigma_step * eta
-    noise[0] = cf.sigma_first * eta[0]  # the first step evolves the initial packet
-    x = ar1_scan(cf.rho, noise, cfg.initial.x0)
-    stats = RunningStats.for_scale(limiting_sigma(cf))
-    stats.push_array(x)
-    return MeasurementRecord(samples=x), stats
-
-
-def run_chain(cfg: ChainConfig) -> tuple[MeasurementRecord, RunningStats]:
-    """Simulate the exact measurement chain; deterministic given cfg.seed."""
-    return _run_chain_seeded(cfg, np.random.SeedSequence(cfg.seed))
-
-
-def _run_chain_jittered_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence):
-    if cfg.scheme.jitter_std == 0.0:
-        return _run_chain_seeded(cfg, seed_seq)
-    params, scheme = cfg.params, cfg.scheme
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    n = cfg.n_measurements
-    t_min = T_MIN_FRACTION * scheme.t_M
-    periods = np.maximum(t_min, scheme.t_M + scheme.jitter_std * _standard_normal(rng, n))
-    eta = _standard_normal(rng, n)
-    noise = evolved_width(params, scheme.sigma_M, periods) * eta
-    noise[0] = evolved_width(params, cfg.initial.sigma_x0, periods[0]) * eta[0]
-    x = ar1_scan(np.cos(params.omega * periods), noise, cfg.initial.x0)
-    cf = ChainClosedForm.from_setup(params, scheme, cfg.initial)
-    stats = RunningStats.for_scale(_histogram_scale(cf, params))
+    if scheme.jitter_std == 0.0:
+        periods = None
+        eta = _standard_normal(rng, n)
+        noise = cf.sigma_step * eta
+        noise[0] = cf.sigma_first * eta[0]  # the first step evolves the initial packet
+        x = ar1_scan(cf.rho, noise, cfg.initial.x0)
+    else:
+        t_min = T_MIN_FRACTION * scheme.t_M
+        periods = np.maximum(t_min, scheme.t_M + scheme.jitter_std * _standard_normal(rng, n))
+        eta = _standard_normal(rng, n)
+        noise = evolved_width(params, scheme.sigma_M, periods) * eta
+        noise[0] = evolved_width(params, cfg.initial.sigma_x0, periods[0]) * eta[0]
+        # a temporary, freed before push_array's scratch: held, it raises peak memory
+        x = ar1_scan(np.cos(params.omega * periods), noise, cfg.initial.x0)
+    # a resonant chain has no limiting width; its histogram takes a generous one
+    scale = 10.0 * max(cf.sigma_first, cf.sigma_step, params.sigma_gs) if resonant else limiting_sigma(cf)
+    stats = RunningStats.for_scale(scale)
     stats.push_array(x)
     return MeasurementRecord(samples=x, periods=periods), stats
 
 
-def run_chain_jittered(cfg: ChainConfig) -> tuple[MeasurementRecord, RunningStats]:
-    """Chain with Gaussian noise on the measurement period.
+def run_chain(cfg: ChainConfig) -> tuple[MeasurementRecord, RunningStats]:
+    """Simulate the exact measurement chain; deterministic given cfg.seed.
 
-    Each step evolves for t_i = max(t_min, t_M + jitter_std * eta), with the
-    memory coefficient and step width recomputed for t_i. With jitter_std = 0
-    this is exactly run_chain.
+    With jitter_std > 0 each step evolves for t_i = max(t_min, t_M +
+    jitter_std * eta), with the memory coefficient and step width recomputed
+    for t_i, and the record carries the periods. Only such a chain may have
+    a resonant t_M.
     """
-    return _run_chain_jittered_seeded(cfg, np.random.SeedSequence(cfg.seed))
+    return _run_chain_seeded(cfg, np.random.SeedSequence(cfg.seed))
+
+
+# a second name, kept for perfbench's chain_ensemble, which calls it
+run_chain_jittered = run_chain
 
 
 def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
@@ -304,23 +299,22 @@ def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
-    runner = _run_chain_jittered_seeded if cfg.scheme.jitter_std > 0 else _run_chain_seeded
     pooled = None
     for child in children:
-        _, stats = runner(cfg, child)
+        _, stats = _run_chain_seeded(cfg, child)
         pooled = stats if pooled is None else pooled.merge(stats)
     return pooled
 
 
-def thinning_interval(rho: float, threshold: float = 0.05) -> int:
-    """Smallest k with |rho|^k < threshold; 1 for a memoryless chain."""
+def thinning_interval(rho: float) -> int:
+    """Smallest k with |rho|^k < THINNING_THRESHOLD; 1 for a memoryless chain."""
     r = abs(rho)
     if r >= 1.0:
         raise ValueError("|rho| must be < 1 to thin to independence")
-    if r == 0.0 or r**1 < threshold:
+    if r == 0.0 or r**1 < THINNING_THRESHOLD:
         return 1
-    k = math.ceil(math.log(threshold) / math.log(r))
-    while r**k >= threshold:  # guard rounding at the boundary
+    k = math.ceil(math.log(THINNING_THRESHOLD) / math.log(r))
+    while r**k >= THINNING_THRESHOLD:  # guard rounding at the boundary
         k += 1
     return k
 

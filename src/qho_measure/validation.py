@@ -30,6 +30,17 @@ from .gaussian_core import (
 from .grid_oracle import DEFAULT_STEPS_PER_PERIOD, CollapseMode, Grid, evolve, init_packet
 from .trajectory_sim import ChainConfig, run_chain
 
+# Each check passes when its measured error is at most its tolerance here.
+TOLERANCES = {
+    "grid_vs_closed_form": 1e-4,
+    "spectral_convergence": 1e-6,
+    "chain_vs_sigma_inf": 0.01,
+    "two_step_quadrature": 1e-6,
+    "partial_sum_identity": 1e-10,
+    "povm_roundtrip": 1e-9,
+    "weak_vs_replace_gap": 0.05,
+}
+
 
 @dataclass
 class CheckResult:
@@ -50,13 +61,12 @@ class CheckResult:
         }
 
 
-def _result(name, measured, tolerance, detail=""):
+def _result(name, measured, detail=""):
+    tolerance = TOLERANCES[name]
     return CheckResult(name, measured <= tolerance, float(measured), tolerance, detail)
 
 
-def check_grid_vs_closed_form(
-    params: OscillatorParams, grid: Grid, tol: float = 1e-4
-) -> CheckResult:
+def check_grid_vs_closed_form(params: OscillatorParams, grid: Grid) -> CheckResult:
     """Grid-evolved density mean/std vs the closed forms, on a (sigma_x0, t)
     grid, by both propagators: the exact rotation and Strang steps at the
     default step. The worse route sets the measured error."""
@@ -77,41 +87,38 @@ def check_grid_vs_closed_form(
                 worst[route] = max(worst[route], err)
     route = max(worst, key=worst.get)
     detail = f"worst route {route}; " + ", ".join(f"{r} {e:.3g}" for r, e in worst.items())
-    return _result("grid_vs_closed_form", worst[route], tol, detail=detail)
+    return _result("grid_vs_closed_form", worst[route], detail=detail)
 
 
-def check_spectral_convergence(
-    params: OscillatorParams, grid: Grid, tol: float = 1e-6
-) -> CheckResult:
-    """Halving dt must leave the one-period density std unchanged to tol."""
+def check_spectral_convergence(params: OscillatorParams, grid: Grid) -> CheckResult:
+    """Halving dt must leave the one-period density std unchanged to within
+    the tolerance."""
     packet = WavePacket(x0=0.5, sigma_x0=0.5)
     wf0 = init_packet(grid, packet)
     dt = params.period / 1024
     s1 = evolve(wf0, params.period, params, dt=dt).position_std()
     s2 = evolve(wf0, params.period, params, dt=dt / 2).position_std()
-    return _result("spectral_convergence", abs(s1 / s2 - 1.0), tol)
+    return _result("spectral_convergence", abs(s1 / s2 - 1.0))
 
 
-def check_chain_vs_limit(cfg: ChainConfig, tol: float = 0.01) -> CheckResult:
+def check_chain_vs_limit(cfg: ChainConfig) -> CheckResult:
     cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
     target = limiting_sigma(cf)
     _, stats = run_chain(cfg)
     return _result(
         "chain_vs_sigma_inf",
         abs(stats.std / target - 1.0),
-        tol,
         detail=f"sample std {stats.std:.6g} vs sigma_inf {target:.6g}",
     )
 
 
-def check_two_step_quadrature(
-    params: OscillatorParams, n_cases: int = 20, seed: int = 7, tol: float = 1e-6
-) -> CheckResult:
+def check_two_step_quadrature(params: OscillatorParams) -> CheckResult:
     """Numerical convolution of the first density with the one-step kernel
-    must reproduce the closed-form second-measurement width."""
-    rng = np.random.default_rng(seed)
+    must reproduce the closed-form second-measurement width, over 20 random
+    setups."""
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(20):
         scheme = MeasurementScheme(
             t_M=params.period * rng.uniform(0.05, 0.45),
             sigma_M=rng.uniform(0.2, 2.0),
@@ -121,7 +128,7 @@ def check_two_step_quadrature(
         std_quad = two_step_std_quadrature(cf)
         std_closed = density_before_nth(cf, 2).std
         worst = max(worst, abs(std_quad / std_closed - 1.0))
-    return _result("two_step_quadrature", worst, tol)
+    return _result("two_step_quadrature", worst)
 
 
 def two_step_std_quadrature(cf: ChainClosedForm, n_nodes: int = 401) -> float:
@@ -145,27 +152,23 @@ def two_step_std_quadrature(cf: ChainClosedForm, n_nodes: int = 401) -> float:
     return math.sqrt(var)
 
 
-def check_partial_sum_identity(
-    params: OscillatorParams,
-    scheme: MeasurementScheme,
-    initial: WavePacket,
-    tol: float = 1e-10,
-) -> CheckResult:
+def check_partial_sum_identity(cfg: ChainConfig) -> CheckResult:
     """Closed-form s_n^2 vs brute-force averaging of the first n variances."""
-    cf = ChainClosedForm.from_setup(params, scheme, initial)
+    cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
     worst = 0.0
     for n in (1, 2, 3, 10, 100, 10_000):
         brute = sum(density_before_nth(cf, i).variance for i in range(1, n + 1)) / n
         closed = ensemble_variance_partial(cf, n)
         worst = max(worst, abs(closed / brute - 1.0))
-    return _result("partial_sum_identity", worst, tol)
+    return _result("partial_sum_identity", worst)
 
 
-def check_povm_roundtrip(n_cases: int = 100, seed: int = 11, tol: float = 1e-9) -> CheckResult:
-    """Product of the weak window with the prior must reproduce the collapse."""
-    rng = np.random.default_rng(seed)
+def check_povm_roundtrip() -> CheckResult:
+    """Product of the weak window with the prior must reproduce the collapse,
+    over 100 random priors and outcomes."""
+    rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(100):
         sigma_M = rng.uniform(0.1, 2.0)
         prior = Gaussian(rng.normal(0, 2), sigma_M * rng.uniform(1.01, 100.0))
         x_M = rng.normal(0, 2)
@@ -174,18 +177,12 @@ def check_povm_roundtrip(n_cases: int = 100, seed: int = 11, tol: float = 1e-9) 
         scale = max(abs(x_M), sigma_M)
         err = max(abs(prod.std / sigma_M - 1.0), abs(prod.mean - x_M) / scale)
         worst = max(worst, err)
-    return _result("povm_roundtrip", worst, tol)
+    return _result("povm_roundtrip", worst)
 
 
-def check_weak_vs_replace(
-    cfg: ChainConfig,
-    grid: Grid,
-    n_epochs: int = 30,
-    dt: float | None = None,
-    tol: float = 0.05,
-) -> CheckResult:
+def check_weak_vs_replace(cfg: ChainConfig, grid: Grid) -> CheckResult:
     """Per-collapse gap between the weak-product posterior density and the
-    replacement state, along a Replace-mode chain.
+    replacement state, over the first 30 collapses of a Replace-mode chain.
 
     This quantifies how well the narrow Gaussian stands in for the full
     product *state by state*. Whole-chain sample statistics of the two modes
@@ -199,8 +196,8 @@ def check_weak_vs_replace(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     wf = init_packet(grid, cfg.initial)
     worst = 0.0
-    for _ in range(n_epochs):
-        wf = evolve(wf, cfg.scheme.t_M, cfg.params, dt=dt)
+    for _ in range(30):
+        wf = evolve(wf, cfg.scheme.t_M, cfg.params)
         x_M, wf_replace = measure_and_collapse(wf, cfg.scheme.sigma_M, CollapseMode.REPLACE, rng)
         wf_weak = apply_collapse(wf, cfg.scheme.sigma_M, x_M, CollapseMode.WEAK_PRODUCT)
         std_r, std_w = wf_replace.position_std(), wf_weak.position_std()
@@ -210,25 +207,19 @@ def check_weak_vs_replace(
         )
         worst = max(worst, err)
         wf = wf_replace
-    return _result("weak_vs_replace_gap", worst, tol)
+    return _result("weak_vs_replace_gap", worst)
 
 
-def run_battery(cfg: ChainConfig, grid: Grid, weak_gap_tol: float = 0.05) -> list[CheckResult]:
+def run_battery(cfg: ChainConfig, grid: Grid) -> list[CheckResult]:
     """Full cross-validation suite; exceptions become failed checks."""
     checks = [
         ("grid_vs_closed_form", lambda: check_grid_vs_closed_form(cfg.params, grid)),
         ("spectral_convergence", lambda: check_spectral_convergence(cfg.params, grid)),
         ("chain_vs_sigma_inf", lambda: check_chain_vs_limit(cfg)),
         ("two_step_quadrature", lambda: check_two_step_quadrature(cfg.params)),
-        (
-            "partial_sum_identity",
-            lambda: check_partial_sum_identity(cfg.params, cfg.scheme, cfg.initial),
-        ),
-        ("povm_roundtrip", lambda: check_povm_roundtrip()),
-        (
-            "weak_vs_replace_gap",
-            lambda: check_weak_vs_replace(cfg, grid, tol=weak_gap_tol),
-        ),
+        ("partial_sum_identity", lambda: check_partial_sum_identity(cfg)),
+        ("povm_roundtrip", check_povm_roundtrip),
+        ("weak_vs_replace_gap", lambda: check_weak_vs_replace(cfg, grid)),
     ]
     results = []
     for name, fn in checks:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,8 @@ import qho_measure
 from qho_measure import ChainClosedForm
 from qho_measure.cli import RunConfig, main
 from conftest import REF_SIGMA_INF
+
+REFERENCE_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "reference_sha256.json"
 
 
 def strict_json(path):
@@ -93,6 +96,20 @@ class TestSimulate:
             assert main(["simulate", "--n", "5000", "--seed", "42", "--out", str(out)]) == 0
         for name in ("samples.csv", "running_std.csv", "histogram.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("seed", (0, 1, 255))
+    @pytest.mark.parametrize("task,jitter", [("simulate_s", ()), ("simulate_jitter_s", ("--jitter-std", "0.01"))])
+    def test_outputs_match_recorded_sha256(self, tmp_path, task, jitter, seed):
+        # the byte-identical CSV contract, against the benchmark's references
+        out = tmp_path / "o"
+        argv = ["simulate", "--n", "500000", *jitter, "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == 0
+        lines = "".join(
+            f"{name}:{hashlib.sha256((out / name).read_bytes()).hexdigest()}\n"
+            for name in ("samples.csv", "running_std.csv", "histogram.csv")
+        )
+        references = json.loads(REFERENCE_SHA256.read_text())
+        assert hashlib.sha256(lines.encode()).hexdigest() == references[task][str(seed)]
 
     def test_rerun_from_echoed_config(self, tmp_path):
         first = tmp_path / "first"
@@ -218,6 +235,12 @@ class TestValidate:
             assert c["margin"] == c["measured"] / c["tolerance"]
             assert 0.0 <= c["margin"] <= 1.0
 
+    def test_records_grid_n(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["validate", "--n", "2000", "--grid-n", "1024", "--out", str(out)])
+        assert rc in (0, 2)
+        assert strict_json(out / "validate.json")["grid_n"] == 1024
+
     def test_designed_failure_exit_code(self, tmp_path, capsys):
         # a 256-point grid cannot resolve the instrument width
         out = tmp_path / "o"
@@ -252,6 +275,7 @@ BAD_INPUTS = [
     (["sweep", "--sweep-tau", "0.1", "0.4", "abc"], None, None, 3),
     (["sweep", "--sweep-tau", "0.1", "0.4", "2.5"], None, None, 3),
     (["validate", "--grid-n", "100"], None, None, 3),
+    # the battery's tolerances are fixed: a tolerance flag is a usage error
     (["validate", "--weak-gap-tol", "nan"], None, None, 3),
     (["analyze", "--omega", "1e-300"], None, None, 4),
     (["analyze", "--omega", "1e300"], None, None, 4),
@@ -273,6 +297,8 @@ BAD_INPUTS = [
     (["sweep", "--sweep-varsigma", "1", "0", "5", "--log-varsigma"], None, None, 3),
     (["sweep", "--sweep-tau", "0.1", "0", "5", "--log-tau"], None, None, 3),
     (["sweep", "--sweep-varsigma", "1", "-2", "5", "--log-varsigma"], None, None, 3),
+    # an unjittered chain at resonance has no limiting width
+    (["simulate", "--n", "10", "--tau-m", "0.5"], None, None, 4),
 ]
 
 
@@ -345,7 +371,7 @@ def test_flag_names_unchanged(capsys):
         "analyze": set(),
         "simulate": set(),
         "sweep": {"--sweep-varsigma", "--sweep-tau", "--log-varsigma", "--log-tau"},
-        "validate": {"--grid-n", "--weak-gap-tol"},
+        "validate": {"--grid-n"},
     }
     for command, own in extra.items():
         with pytest.raises(SystemExit):

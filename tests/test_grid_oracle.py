@@ -202,6 +202,14 @@ class TestMeasureAndCollapse:
         with pytest.raises(GridTooCoarse):
             measure_and_collapse(wf, 0.05, CollapseMode.REPLACE, rng)
 
+    @pytest.mark.parametrize("mode", list(CollapseMode))
+    def test_instrument_width_at_resolution_rejected(self, rng, mode):
+        # the rule is dx < sigma_M / 4, so sigma_M == 4 dx is refused by both modes
+        g = Grid.symmetric(50.0, 512)
+        wf = init_packet(g, WavePacket(0.0, 2.0))
+        with pytest.raises(GridTooCoarse):
+            measure_and_collapse(wf, 4.0 * g.dx, mode, rng)
+
 
 class TestRunChainGrid:
     def _cfg(self, n, seed=21, tau=0.2, sigma_M=0.5):

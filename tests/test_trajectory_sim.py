@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -82,6 +83,9 @@ class TestRunChain:
 
 
 class TestRunChainJittered:
+    def test_one_runner(self):
+        assert run_chain_jittered is run_chain
+
     def test_zero_jitter_identical(self, ref_config):
         r0, _ = run_chain(ref_config(n=300, seed=5))
         rj, _ = run_chain_jittered(ref_config(n=300, seed=5, jitter_std=0.0))
@@ -179,6 +183,15 @@ class TestRunEnsemble:
         a = run_ensemble(ref_config(n=300, seed=4), n_chains=3)
         b = run_ensemble(ref_config(n=300, seed=4), n_chains=3)
         assert a.count == b.count and a.mean == b.mean and a.variance == b.variance
+
+    def test_jittered_values_unchanged(self, ref_config, ref_scheme):
+        # the jittered path through run_ensemble, pinned to recorded values
+        stats = run_ensemble(ref_config(n=2000, seed=21, jitter_std=0.05 * ref_scheme.t_M), n_chains=3)
+        assert stats.count == 6000
+        assert stats.mean == -0.018421718743808164
+        assert stats.variance == 2.1081291484897924
+        counts = hashlib.sha256(repr(stats.counts.tolist()).encode()).hexdigest()
+        assert counts == "7811739cfb4e3767440a0d75828ed50d87ee9adabb4109982ff3443a3f6d5e0d"
 
 
 class TestNormality:

@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
 file or QHO_SEED; a usage error; an --out that cannot be written; jitter
 with the grid engine), 4 resonance, a setup whose numbers leave float range,
-or a grid setup whose limiting width leaves the default grid too coarse.
+or a grid setup whose default grid is too coarse or too short for its
+packets.
 """
 from __future__ import annotations
 

@@ -223,19 +223,31 @@ def default_grid_for(cfg: ChainConfig, n_points: int = DEFAULT_N_POINTS) -> Grid
     return Grid.symmetric(12.0 * scale, n_points)
 
 
-def _refuse_unresolved(cfg: ChainConfig, grid: Grid, sigma_inf: float | None) -> None:
+def _refuse_unresolved(
+    cfg: ChainConfig, grid: Grid, sigma_inf: float | None, mode: CollapseMode
+) -> None:
     """The default grid spans +-12 max(sigma_inf, sigma_gs) on a fixed number
     of points; a large sigma_inf or a tiny width leaves its spacing too coarse
-    for the instrument or the initial packet."""
+    for the instrument or the initial packet, and a wide or far-off packet
+    (the initial one, or a replacement of width sigma_M) overruns its extent."""
+    limit = "none at resonance" if sigma_inf is None else f"{sigma_inf:.4g}"
+    spans = (
+        f"the default grid spans +-12 max(sigma_inf, sigma_gs) = +-{grid.x_max:.4g} "
+        f"(sigma_inf={limit})"
+    )
     widths = {"sigma_M": cfg.scheme.sigma_M, "sigma_x0": cfg.initial.sigma_x0}
     unresolved = [f"{name}={w:.4g}" for name, w in widths.items() if w <= 4.0 * grid.dx]
     if unresolved:
-        limit = "none at resonance" if sigma_inf is None else f"{sigma_inf:.4g}"
         raise DomainError(
-            f"the default grid spans +-12 max(sigma_inf, sigma_gs) = +-{grid.x_max:.4g} "
-            f"(sigma_inf={limit}) on {grid.n_points} points, so dx={grid.dx:.4g} cannot resolve "
+            f"{spans} on {grid.n_points} points, so dx={grid.dx:.4g} cannot resolve "
             f"{' or '.join(unresolved)} (needs dx < width/4)"
         )
+    reaches = {"|x0| + 8 sigma_x0": abs(cfg.initial.x0) + 8.0 * cfg.initial.sigma_x0}
+    if mode is CollapseMode.REPLACE:
+        reaches["8 sigma_M"] = 8.0 * cfg.scheme.sigma_M
+    overrun = [f"{name}={r:.4g}" for name, r in reaches.items() if r >= grid.x_max]
+    if overrun:
+        raise DomainError(f"{spans} cannot hold {' or '.join(overrun)} (needs less than the extent)")
 
 
 def run_chain_grid(
@@ -249,7 +261,7 @@ def run_chain_grid(
     sigma_inf = limiting_sigma(cf) if cf.sin_abs > EPS_RES else None
     if grid is None:
         grid = default_grid_for(cfg)
-        _refuse_unresolved(cfg, grid, sigma_inf)
+        _refuse_unresolved(cfg, grid, sigma_inf, mode)
     if sigma_inf is not None and grid.x_max < 8.0 * sigma_inf:
         raise GridTooSmall(
             f"grid extent {grid.x_max} < 8 sigma_inf = {8.0 * sigma_inf:.4g}"

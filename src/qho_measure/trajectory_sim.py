@@ -18,11 +18,18 @@ RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
 exactly one draw (no rejection loops in the record path). Ensembles split
 the seed with SeedSequence.spawn.
+
+Ensembles run their chains on several threads (see run_ensemble): the heavy
+kernels (PCG64 draws, ndtri, the lane scan's row ufuncs, np.histogram)
+release the GIL.
 """
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,7 +126,10 @@ class RunningStats:
         if nb == 0:
             return
         mb = float(xs.mean())
-        m2b = float(((xs - mb) ** 2).sum())
+        d = xs - mb
+        d *= d
+        m2b = float(d.sum())
+        del d  # freed before np.histogram's scratch
         self._merge_moments(nb, mb, m2b)
         inner, _ = np.histogram(xs, bins=self.edges)
         self.counts[1:-1] += inner
@@ -157,7 +167,7 @@ def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
 
     u = rng.random(n)
     np.maximum(u, 1e-300, out=u)  # ndtri(0) is -inf
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 def _scan_loop(a, b: np.ndarray, y: float) -> np.ndarray:
@@ -254,20 +264,27 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence):
             f"t_M = {scheme.t_M} resonant: chain variance diverges without jitter"
         )
     rng = np.random.Generator(np.random.PCG64(seed_seq))
+    # every array below is scaled in place and noise is freed after the scan,
+    # so a chain holds no more full-length arrays than it needs at once
     if scheme.jitter_std == 0.0:
         periods = None
-        eta = _standard_normal(rng, n)
-        noise = cf.sigma_step * eta
-        noise[0] = cf.sigma_first * eta[0]  # the first step evolves the initial packet
+        noise = _standard_normal(rng, n)
+        first = cf.sigma_first * noise[0]  # the first step evolves the initial packet
+        noise *= cf.sigma_step
+        noise[0] = first
         x = ar1_scan(cf.rho, noise, cfg.initial.x0)
     else:
-        t_min = T_MIN_FRACTION * scheme.t_M
-        periods = np.maximum(t_min, scheme.t_M + scheme.jitter_std * _standard_normal(rng, n))
-        eta = _standard_normal(rng, n)
-        noise = evolved_width(params, scheme.sigma_M, periods) * eta
-        noise[0] = evolved_width(params, cfg.initial.sigma_x0, periods[0]) * eta[0]
-        # a temporary, freed before push_array's scratch: held, it raises peak memory
+        periods = _standard_normal(rng, n)
+        periods *= scheme.jitter_std
+        periods += scheme.t_M
+        np.maximum(periods, T_MIN_FRACTION * scheme.t_M, out=periods)
+        noise = _standard_normal(rng, n)
+        first = evolved_width(params, cfg.initial.sigma_x0, periods[0]) * noise[0]
+        noise *= evolved_width(params, scheme.sigma_M, periods)
+        noise[0] = first
+        # the coefficients are a temporary, freed before push_array's scratch
         x = ar1_scan(np.cos(params.omega * periods), noise, cfg.initial.x0)
+    del noise
     # a resonant chain has no limiting width; its histogram takes a generous one
     scale = 10.0 * max(cf.sigma_first, cf.sigma_step, params.sigma_gs) if resonant else limiting_sigma(cf)
     stats = RunningStats.for_scale(scale)
@@ -290,18 +307,53 @@ def run_chain(cfg: ChainConfig) -> tuple[MeasurementRecord, RunningStats]:
 run_chain_jittered = run_chain
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
     """Pooled statistics of n_chains independent chains.
 
-    Per-chain RNG streams come from SeedSequence(cfg.seed).spawn; the merge
-    of count/mean/variance is exact.
+    Per-chain RNG streams come from SeedSequence(cfg.seed).spawn. With w =
+    min(n_chains, usable CPUs), share s holds chains s, s + w, ...; the
+    calling thread runs share 0 and w - 1 helper threads the others, each
+    in a copy of the caller's context (so np.errstate holds in every
+    chain). The count/mean/variance merge is exact and runs in chain order,
+    and a failing chain raises as it would in a serial loop.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
+    workers = min(n_chains, _usable_cpus())
+    results: list = [None] * n_chains  # a chain's stats, or what it raised
+
+    def run_share(share: int) -> None:
+        for i in range(share, n_chains, workers):
+            try:
+                results[i] = _run_chain_seeded(cfg, children[i])[1]
+            except Exception as exc:
+                results[i] = exc
+                return  # the later chains of this share are never reached
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run_share, share))
+        for share in range(1, workers)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        run_share(0)
+    finally:
+        for helper in helpers:
+            helper.join()
     pooled = None
-    for child in children:
-        _, stats = _run_chain_seeded(cfg, child)
+    for stats in results:  # a chain left unrun follows a failed one in its share
+        if isinstance(stats, Exception):
+            raise stats
         pooled = stats if pooled is None else pooled.merge(stats)
     return pooled
 

@@ -299,6 +299,12 @@ BAD_INPUTS = [
     (["sweep", "--sweep-varsigma", "1", "-2", "5", "--log-varsigma"], None, None, 3),
     # an unjittered chain at resonance has no limiting width
     (["simulate", "--n", "10", "--tau-m", "0.5"], None, None, 4),
+    # the default grid's extent cannot hold a replacement packet (8 sigma_M)
+    (["simulate", "--engine", "grid", "--tau-m", "0.5", "--varsigma-m", "2", "--n", "3"],
+     None, None, 4),
+    (["simulate", "--engine", "grid", "--varsigma-m", "6", "--n", "3"], None, None, 4),
+    # nor the initial packet (|x0| + 8 sigma_x0)
+    (["simulate", "--engine", "grid", "--x0", "40", "--n", "3"], None, None, 4),
 ]
 
 

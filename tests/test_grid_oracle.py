@@ -6,6 +6,7 @@ import pytest
 from qho_measure import (
     ChainConfig,
     CollapseMode,
+    DomainError,
     Grid,
     GridTooCoarse,
     GridTooSmall,
@@ -263,6 +264,17 @@ class TestRunChainGrid:
                 mode=CollapseMode.WEAK_PRODUCT,
                 dt=cfg.params.period / 128,
             )
+
+    @pytest.mark.parametrize("mode", list(CollapseMode))
+    def test_default_grid_refuses_a_far_initial_packet(self, mode):
+        cfg = self._cfg(3)
+        cfg = ChainConfig(cfg.params, cfg.scheme, WavePacket(40.0, cfg.initial.sigma_x0), 3, 21)
+        with pytest.raises(DomainError, match=r"\+-17\.08 .* cannot hold \|x0\| \+ 8 sigma_x0=49\.51"):
+            run_chain_grid(cfg, mode=mode)
+
+    def test_default_grid_refuses_a_wide_replacement_packet(self):
+        with pytest.raises(DomainError, match=r"cannot hold 8 sigma_M=56"):
+            run_chain_grid(self._cfg(3, sigma_M=7.0))
 
     def test_default_grid_spans_limit(self):
         cfg = self._cfg(10)

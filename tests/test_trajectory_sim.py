@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +195,88 @@ class TestRunEnsemble:
         assert stats.variance == 2.1081291484897924
         counts = hashlib.sha256(repr(stats.counts.tolist()).encode()).hexdigest()
         assert counts == "7811739cfb4e3767440a0d75828ed50d87ee9adabb4109982ff3443a3f6d5e0d"
+
+
+class TestRunEnsembleThreads:
+    @staticmethod
+    def serial(cfg, n_chains):
+        """The ensemble as a single-threaded loop merging in chain order."""
+        pooled = None
+        for child in np.random.SeedSequence(cfg.seed).spawn(n_chains):
+            _, stats = ts._run_chain_seeded(cfg, child)
+            pooled = stats if pooled is None else pooled.merge(stats)
+        return pooled
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("n_chains", [1, 2, 3, 16])
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_matches_serial_merge(self, monkeypatch, ref_config, ref_scheme, cpus, n_chains, jitter):
+        cfg = ref_config(n=500, seed=31, jitter_std=jitter * ref_scheme.t_M)
+        expected = self.serial(cfg, n_chains)
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter lock as often as they can
+        try:
+            got = run_ensemble(cfg, n_chains)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (got.count, got.mean, got.variance) == (expected.count, expected.mean, expected.variance)
+        assert np.array_equal(got.counts, expected.counts)
+
+    def test_resonance_raises_and_joins_helpers(self, monkeypatch, ref_params, ref_packet):
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 3)
+        scheme = MeasurementScheme(t_M=0.5 * ref_params.period, sigma_M=0.5)
+        before = threading.active_count()
+        with pytest.raises(ResonanceError):
+            run_ensemble(ChainConfig(ref_params, scheme, ref_packet, 100, 3), n_chains=4)
+        assert threading.active_count() == before
+
+    def test_first_failing_chain_raises(self, monkeypatch, ref_config):
+        # chains 2 and 3 fail, on different threads; a serial loop stops at 2
+        run = ts._run_chain_seeded
+
+        def failing(cfg, seed_seq):
+            chain = seed_seq.spawn_key[-1]
+            if chain >= 2:
+                raise ValueError(f"chain {chain}")
+            return run(cfg, seed_seq)
+
+        monkeypatch.setattr(ts, "_run_chain_seeded", failing)
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="chain 2"):
+            run_ensemble(ref_config(n=100, seed=3), n_chains=5)
+
+    def test_errstate_reaches_every_chain(self, monkeypatch, ref_config):
+        run, seen = ts._run_chain_seeded, []
+
+        def recording(cfg, seed_seq):
+            seen.append((threading.get_ident(), np.geterr()))
+            return run(cfg, seed_seq)
+
+        monkeypatch.setattr(ts, "_run_chain_seeded", recording)
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 2)
+        with np.errstate(all="raise"):
+            run_ensemble(ref_config(n=200, seed=3), n_chains=4)
+        assert len(seen) == 4 and len({ident for ident, _ in seen}) == 2
+        assert all(err == dict.fromkeys(("divide", "over", "under", "invalid"), "raise") for _, err in seen)
+
+
+class TestChainMemory:
+    """Peak traced allocation of one run_chain, returned record included:
+    the chain keeps no more full-length temporaries than it needs at once."""
+
+    @pytest.mark.parametrize("jitter,limit", [(0.0, 20.0), (0.05, 38.0)])
+    def test_peak_bytes_per_sample(self, ref_config, ref_scheme, jitter, limit):
+        n = 1 << 21
+        jitter_std = jitter * ref_scheme.t_M
+        run_chain(ref_config(n=1000, jitter_std=jitter_std))  # imports scipy.special untraced
+        tracemalloc.start()
+        try:
+            run_chain(ref_config(n=n, seed=3, jitter_std=jitter_std))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= limit
 
 
 class TestNormality:

@@ -89,6 +89,12 @@ class ChainClosedForm:
         except ValueError as exc:  # an inf or NaN width, or cos(inf)
             raise DomainError(f"scales outside float range for this setup: {exc}") from exc
 
+    @property
+    def sigma_inf(self) -> float | None:
+        """Limiting outcome width |sigma(t_M)/sin(omega t_M)|; None at
+        resonance (|sin(omega t_M)| <= EPS_RES), where the chain diverges."""
+        return self.sigma_step / self.sin_abs if self.sin_abs > EPS_RES else None
+
 
 @dataclass(frozen=True)
 class NondimPoint:
@@ -127,12 +133,13 @@ def density_before_nth(cf: ChainClosedForm, n: int, x0: float = 0.0) -> Gaussian
 
 
 def limiting_sigma(cf: ChainClosedForm) -> float:
-    """n -> infinity limit of the outcome density width: |sigma(t_M)/sin(omega t_M)|."""
-    if cf.sin_abs <= EPS_RES:
+    """n -> infinity limit of the outcome density width, cf.sigma_inf;
+    raises ResonanceError at resonance."""
+    if cf.sigma_inf is None:
         raise ResonanceError(
             f"|sin(omega t_M)| = {cf.sin_abs:.3e} <= {EPS_RES}: chain variance diverges"
         )
-    return cf.sigma_step / cf.sin_abs
+    return cf.sigma_inf
 
 
 def limiting_sigma_simplified(params: OscillatorParams, scheme: MeasurementScheme) -> float:

@@ -10,9 +10,10 @@ run can be repeated exactly from its own output.
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
 file or QHO_SEED; a usage error; an --out that cannot be written; jitter
-with the grid engine), 4 resonance, a setup whose numbers leave float range,
-or a grid setup whose default grid is too coarse or too short for its
-packets.
+with the grid engine; weak collapse with the chain engine), 4 resonance, a
+setup whose numbers leave float range, a grid setup whose default grid is
+too coarse or too short for its packets, or a weak grid setup whose initial
+packet is not wider than the instrument at the first measurement.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .chain_analytics import (
-    EPS_RES,
     ChainClosedForm,
     MeasurementScheme,
     NondimPoint,
@@ -273,10 +273,12 @@ def _running_std_checkpoints(n: int) -> list[int]:
 def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.engine == "grid" and cfg.jitter_std != 0.0:
         raise ConfigError("--jitter-std is not supported by --engine grid")
+    if cfg.engine == "chain" and cfg.collapse == "weak":
+        raise ConfigError("--collapse weak needs --engine grid: the chain engine samples replace chains only")
     chain_cfg = cfg.chain_config()
     params = cfg.oscillator()
     cf = ChainClosedForm.from_setup(params, cfg.scheme(), cfg.packet())
-    sigma_inf = limiting_sigma(cf) if cf.sin_abs > EPS_RES else None
+    sigma_inf = cf.sigma_inf
 
     if cfg.engine == "grid":
         record = run_chain_grid(

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_analytics import EPS_RES, ChainClosedForm, limiting_sigma, povm_parameters
+from .chain_analytics import ChainClosedForm, povm_parameters
 from .errors import DomainError, GridTooCoarse, GridTooSmall, LeakageError
 from .gaussian_core import Gaussian, OscillatorParams, WavePacket
 from .trajectory_sim import ChainConfig, MeasurementRecord
@@ -111,25 +111,35 @@ def init_packet(grid: Grid, packet: WavePacket) -> GridWavefunction:
 
 
 @functools.lru_cache(maxsize=16)
-def _rotation_chirps(
-    grid: Grid, t: float, params: OscillatorParams
+def _sweep(
+    grid: Grid, t: float, params: OscillatorParams, dt: float | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Position chirp cx, momentum chirp ck and the number of pieces whose
-    product cx ifft(ck fft(cx psi)), applied pieces times, is U(t) up to a
-    global phase.
+    """Position chirp cx, momentum chirp ck and the number of sweeps whose
+    product cx ifft(ck fft(cx psi)), applied sweeps times, is U(t).
 
-    theta = omega t is reduced mod 2 pi (densities are T-periodic); above
-    pi/2 it is halved, so tan(theta/2) stays at most 1.
+    Each sweep rotates phase space by theta, shearing position by s_x and
+    momentum by s_k. Without dt the sweep is exact, up to a global phase:
+    theta = omega t is reduced mod 2 pi (densities are T-periodic) and
+    halved above pi/2, so s_x = tan(theta/2) stays at most 1, and
+    s_k = sin(theta). With dt a sweep is one Strang step: theta = omega t /
+    sweeps, sweeps = round(|t|/dt) so the requested time is hit exactly, and
+    the shears are their small-angle forms, s_x = theta/2 and s_k = theta.
     """
-    theta = math.remainder(params.omega * t, 2.0 * math.pi)
-    pieces = 2 if abs(theta) > 0.5 * math.pi else 1
-    theta /= pieces
+    if dt is None:
+        theta = math.remainder(params.omega * t, 2.0 * math.pi)
+        sweeps = 2 if abs(theta) > 0.5 * math.pi else 1
+        theta /= sweeps
+        s_x, s_k = math.tan(0.5 * theta), math.sin(theta)
+    else:
+        sweeps = max(1, round(abs(t) / dt))
+        theta = params.omega * t / sweeps
+        s_x, s_k = 0.5 * theta, theta
     m_omega = params.mass * params.omega
-    cx = np.exp(-0.5j * m_omega * math.tan(0.5 * theta) / params.hbar * grid.x**2)
-    ck = np.exp(-0.5j * params.hbar * math.sin(theta) / m_omega * grid.k**2)
+    cx = np.exp(-0.5j * m_omega * s_x / params.hbar * grid.x**2)
+    ck = np.exp(-0.5j * params.hbar * s_k / m_omega * grid.k**2)
     cx.flags.writeable = False
     ck.flags.writeable = False
-    return cx, ck, pieces
+    return cx, ck, sweeps
 
 
 def evolve(
@@ -138,33 +148,15 @@ def evolve(
     params: OscillatorParams,
     dt: float | None = None,
 ) -> GridWavefunction:
-    """Propagate under V = (1/2) m omega^2 x^2 for time t.
-
-    Without dt the propagation is exact: one position-momentum-position
-    chirp product per piece (see _rotation_chirps). With dt it takes Strang
-    steps of t/n_steps, n_steps chosen so the requested time is hit exactly.
-    """
+    """Propagate under V = (1/2) m omega^2 x^2 for time t by chirp sweeps
+    (see _sweep): exact without dt, Strang steps of about dt with it."""
     if t == 0.0:
         return GridWavefunction(psi.grid, psi.psi.copy())
-    grid = psi.grid
-    if dt is None:
-        cx, ck, pieces = _rotation_chirps(grid, t, params)
-        out = psi.psi
-        for _ in range(pieces):
-            out = cx * np.fft.ifft(ck * np.fft.fft(cx * out))
-        return GridWavefunction(grid, out)
-    n_steps = max(1, round(abs(t) / dt))
-    dt = t / n_steps
-    hbar, m = params.hbar, params.mass
-    v = 0.5 * m * params.omega**2 * grid.x**2
-    half_pot = np.exp(-0.5j * dt * v / hbar)
-    full_pot = half_pot * half_pot
-    kin = np.exp(-0.5j * dt * hbar * grid.k**2 / m)
-    out = psi.psi * half_pot
-    for step in range(n_steps):
-        out = np.fft.ifft(kin * np.fft.fft(out))
-        out *= full_pot if step < n_steps - 1 else half_pot
-    return GridWavefunction(grid, out)
+    cx, ck, sweeps = _sweep(psi.grid, t, params, dt)
+    out = psi.psi
+    for _ in range(sweeps):
+        out = cx * np.fft.ifft(ck * np.fft.fft(cx * out))
+    return GridWavefunction(psi.grid, out)
 
 
 def _sample_from_density(wf: GridWavefunction, rng: np.random.Generator) -> float:
@@ -218,24 +210,31 @@ def default_grid_for(cfg: ChainConfig, n_points: int = DEFAULT_N_POINTS) -> Grid
     """Extent +-max(12 sigma_inf_predicted, 12 sigma_gs)."""
     cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
     scale = cfg.params.sigma_gs
-    if cf.sin_abs > EPS_RES:
-        scale = max(scale, limiting_sigma(cf))
+    if cf.sigma_inf is not None:
+        scale = max(scale, cf.sigma_inf)
     return Grid.symmetric(12.0 * scale, n_points)
 
 
-def _refuse_unresolved(
-    cfg: ChainConfig, grid: Grid, sigma_inf: float | None, mode: CollapseMode
-) -> None:
+def _refuse_unresolved(cfg: ChainConfig, grid: Grid, cf: ChainClosedForm, mode: CollapseMode) -> None:
     """The default grid spans +-12 max(sigma_inf, sigma_gs) on a fixed number
     of points; a large sigma_inf or a tiny width leaves its spacing too coarse
     for the instrument or the initial packet, and a wide or far-off packet
-    (the initial one, or a replacement of width sigma_M) overruns its extent."""
-    limit = "none at resonance" if sigma_inf is None else f"{sigma_inf:.4g}"
+    (the initial one, or a replacement of width sigma_M) overruns its extent.
+    A weak collapse needs a prior wider than the instrument, which the
+    evolved initial packet (width sigma_first) must be at the first
+    measurement."""
+    sigma_M = cfg.scheme.sigma_M
+    if mode is CollapseMode.WEAK_PRODUCT and cf.sigma_first <= sigma_M:
+        raise DomainError(
+            f"weak collapse needs the evolved initial packet wider than the instrument, "
+            f"but sigma_first={cf.sigma_first:.4g} <= sigma_M={sigma_M:.4g}"
+        )
+    limit = "none at resonance" if cf.sigma_inf is None else f"{cf.sigma_inf:.4g}"
     spans = (
         f"the default grid spans +-12 max(sigma_inf, sigma_gs) = +-{grid.x_max:.4g} "
         f"(sigma_inf={limit})"
     )
-    widths = {"sigma_M": cfg.scheme.sigma_M, "sigma_x0": cfg.initial.sigma_x0}
+    widths = {"sigma_M": sigma_M, "sigma_x0": cfg.initial.sigma_x0}
     unresolved = [f"{name}={w:.4g}" for name, w in widths.items() if w <= 4.0 * grid.dx]
     if unresolved:
         raise DomainError(
@@ -244,7 +243,7 @@ def _refuse_unresolved(
         )
     reaches = {"|x0| + 8 sigma_x0": abs(cfg.initial.x0) + 8.0 * cfg.initial.sigma_x0}
     if mode is CollapseMode.REPLACE:
-        reaches["8 sigma_M"] = 8.0 * cfg.scheme.sigma_M
+        reaches["8 sigma_M"] = 8.0 * sigma_M
     overrun = [f"{name}={r:.4g}" for name, r in reaches.items() if r >= grid.x_max]
     if overrun:
         raise DomainError(f"{spans} cannot hold {' or '.join(overrun)} (needs less than the extent)")
@@ -252,20 +251,14 @@ def _refuse_unresolved(
 
 def run_chain_grid(
     cfg: ChainConfig,
-    grid: Grid | None = None,
     mode: CollapseMode = CollapseMode.REPLACE,
     dt: float | None = None,
 ) -> MeasurementRecord:
-    """Full measurement chain driven by grid dynamics."""
+    """Full measurement chain driven by grid dynamics on default_grid_for(cfg),
+    after refusing a setup that grid cannot run (see _refuse_unresolved)."""
     cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
-    sigma_inf = limiting_sigma(cf) if cf.sin_abs > EPS_RES else None
-    if grid is None:
-        grid = default_grid_for(cfg)
-        _refuse_unresolved(cfg, grid, sigma_inf, mode)
-    if sigma_inf is not None and grid.x_max < 8.0 * sigma_inf:
-        raise GridTooSmall(
-            f"grid extent {grid.x_max} < 8 sigma_inf = {8.0 * sigma_inf:.4g}"
-        )
+    grid = default_grid_for(cfg)
+    _refuse_unresolved(cfg, grid, cf, mode)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     wf = init_packet(grid, cfg.initial)
     samples = np.empty(cfg.n_measurements)

@@ -34,12 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_analytics import (
-    EPS_RES,
-    ChainClosedForm,
-    MeasurementScheme,
-    limiting_sigma,
-)
+from .chain_analytics import ChainClosedForm, MeasurementScheme
 from .errors import InsufficientSamples, ResonanceError
 from .gaussian_core import OscillatorParams, WavePacket, evolved_width
 
@@ -258,7 +253,7 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence):
     each step's coefficient and width are recomputed for its period."""
     params, scheme, n = cfg.params, cfg.scheme, cfg.n_measurements
     cf = ChainClosedForm.from_setup(params, scheme, cfg.initial)
-    resonant = cf.sin_abs <= EPS_RES
+    resonant = cf.sigma_inf is None
     if resonant and scheme.jitter_std == 0.0:
         raise ResonanceError(
             f"t_M = {scheme.t_M} resonant: chain variance diverges without jitter"
@@ -286,7 +281,7 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence):
         x = ar1_scan(np.cos(params.omega * periods), noise, cfg.initial.x0)
     del noise
     # a resonant chain has no limiting width; its histogram takes a generous one
-    scale = 10.0 * max(cf.sigma_first, cf.sigma_step, params.sigma_gs) if resonant else limiting_sigma(cf)
+    scale = 10.0 * max(cf.sigma_first, cf.sigma_step, params.sigma_gs) if resonant else cf.sigma_inf
     stats = RunningStats.for_scale(scale)
     stats.push_array(x)
     return MeasurementRecord(samples=x, periods=periods), stats

@@ -101,6 +101,12 @@ class TestLimitingSigma:
         with pytest.raises(ResonanceError):
             limiting_sigma(cf)
 
+    def test_property_is_none_only_at_resonance(self, ref_params, ref_scheme, ref_packet):
+        cf = ChainClosedForm.from_setup(ref_params, ref_scheme, ref_packet)
+        assert cf.sigma_inf == limiting_sigma(cf)
+        scheme = MeasurementScheme(t_M=0.5 * ref_params.period, sigma_M=0.5)
+        assert ChainClosedForm.from_setup(ref_params, scheme, ref_packet).sigma_inf is None
+
     def test_agrees_with_simplified_form(self, rng):
         params = OscillatorParams(1.0, 0.707, 1.0)
         packet = WavePacket(0.0, 1.0)

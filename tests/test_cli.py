@@ -305,6 +305,13 @@ BAD_INPUTS = [
     (["simulate", "--engine", "grid", "--varsigma-m", "6", "--n", "3"], None, None, 4),
     # nor the initial packet (|x0| + 8 sigma_x0)
     (["simulate", "--engine", "grid", "--x0", "40", "--n", "3"], None, None, 4),
+    # the chain engine samples replace chains only
+    (["simulate", "--n", "10", "--collapse", "weak"], None, None, 3),
+    # a weak collapse needs the evolved initial packet wider than sigma_M
+    (["simulate", "--engine", "grid", "--collapse", "weak", "--varsigma-m", "6", "--n", "3"],
+     None, None, 4),
+    (["simulate", "--engine", "grid", "--collapse", "weak", "--tau-m", "0.5", "--varsigma-m", "2",
+      "--n", "3"], None, None, 4),
 ]
 
 

@@ -21,7 +21,7 @@ from qho_measure import (
     measure_and_collapse,
     run_chain_grid,
 )
-from qho_measure.grid_oracle import _rotation_chirps, _sample_from_density, default_grid_for
+from qho_measure.grid_oracle import _sample_from_density, _sweep, default_grid_for
 
 
 class TestGrid:
@@ -148,13 +148,13 @@ class TestExactEvolve:
             strang = evolve(wf0, frac * T, self.PARAMS, dt=T / 4096)
             assert np.max(np.abs(exact.density() - strang.density())) <= 1e-6
 
-    @pytest.mark.parametrize("frac,mean,pieces", ((0.5, -2.0, 2), (1.0, 2.0, 1)))
-    def test_half_and_full_period(self, frac, mean, pieces):
+    @pytest.mark.parametrize("frac,mean,sweeps", ((0.5, -2.0, 2), (1.0, 2.0, 1)))
+    def test_half_and_full_period(self, frac, mean, sweeps):
         # omega t = pi is applied in two halves, where tan(theta/2) is finite;
         # omega t = 2 pi reduces to theta ~ 0. Half a period mirrors the
         # packet, a full one restores it.
         T = self.PARAMS.period
-        assert _rotation_chirps(self.GRID, frac * T, self.PARAMS)[2] == pieces
+        assert _sweep(self.GRID, frac * T, self.PARAMS, None)[2] == sweeps
         wf0 = init_packet(self.GRID, WavePacket(2.0, 0.7))
         out = evolve(wf0, frac * T, self.PARAMS)
         assert np.isfinite(out.psi).all()
@@ -248,12 +248,6 @@ class TestRunChainGrid:
         r1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(r1) < 0.05
 
-    def test_small_grid_precondition(self):
-        cfg = self._cfg(10)
-        grid = Grid.symmetric(3.0, 512)  # well under 8 sigma_inf
-        with pytest.raises(GridTooSmall):
-            run_chain_grid(cfg, grid=grid)
-
     def test_weak_product_chain_eventually_leaks(self):
         # back-action heating: the weak-product chain's excursions grow and
         # the packet reaches the boundary of any moderate grid
@@ -271,6 +265,12 @@ class TestRunChainGrid:
         cfg = ChainConfig(cfg.params, cfg.scheme, WavePacket(40.0, cfg.initial.sigma_x0), 3, 21)
         with pytest.raises(DomainError, match=r"\+-17\.08 .* cannot hold \|x0\| \+ 8 sigma_x0=49\.51"):
             run_chain_grid(cfg, mode=mode)
+
+    def test_weak_collapse_refuses_a_prior_narrower_than_the_instrument(self):
+        # the initial packet of width sigma_gs = 1.19 has narrowed to 0.67 at
+        # the first measurement, below sigma_M = 1
+        with pytest.raises(DomainError, match=r"sigma_first=0\.6745 <= sigma_M=1\b"):
+            run_chain_grid(self._cfg(3, sigma_M=1.0), mode=CollapseMode.WEAK_PRODUCT)
 
     def test_default_grid_refuses_a_wide_replacement_packet(self):
         with pytest.raises(DomainError, match=r"cannot hold 8 sigma_M=56"):

@@ -160,7 +160,8 @@ def evolve(
 
 
 def _sample_from_density(wf: GridWavefunction, rng: np.random.Generator) -> float:
-    """Inverse-CDF draw from the discrete |psi|^2, linear within bins."""
+    """Inverse-CDF draw from the discrete |psi|^2, linear within bins; bin j
+    is centred on its node, [x_j - dx/2, x_j + dx/2)."""
     grid = wf.grid
     p = wf.density() * grid.dx
     p = p / p.sum()
@@ -170,7 +171,7 @@ def _sample_from_density(wf: GridWavefunction, rng: np.random.Generator) -> floa
     j = min(j, grid.n_points - 1)
     prev = cum[j - 1] if j > 0 else 0.0
     frac = (u - prev) / p[j] if p[j] > 0 else 0.5
-    return float(grid.x[j] + grid.dx * frac)
+    return float(grid.x[j] + grid.dx * (frac - 0.5))
 
 
 def apply_collapse(

@@ -1,13 +1,13 @@
 """Brute-force oracle: Schrodinger evolution on a uniform spatial grid.
 
-Harmonic evolution for a time t is a rotation of phase space, which the
-three-shear (metaplectic) factorisation evaluates exactly with one FFT pair:
-a position chirp, a momentum chirp, the same position chirp (Ozaktas et al.,
-IEEE TSP 44, 1996; Paeth 1986). Symmetric (Strang) split-operator stepping
-with a spectral kinetic term is kept as the step-by-step route, taken when a
-time step is given. Nothing in here knows the closed-form width evolution;
-the point is to validate those formulas and the chain construction from
-first principles.
+Harmonic evolution for a time t is a rotation of phase space. One sweep (a
+position chirp, a momentum chirp between an FFT pair, the same position
+chirp) is its three-shear factorisation (Ozaktas et al., IEEE TSP 44, 1996;
+Paeth 1986): with exact shears one sweep, two above a quarter turn, evolves
+for t; with small-angle shears a sweep is one Strang split-operator step,
+the step-by-step route taken when a time step is given. Nothing in here
+knows the closed-form width evolution; the point is to validate those
+formulas and the chain construction from first principles.
 """
 from __future__ import annotations
 
@@ -114,17 +114,13 @@ def init_packet(grid: Grid, packet: WavePacket) -> GridWavefunction:
 def _sweep(
     grid: Grid, t: float, params: OscillatorParams, dt: float | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Position chirp cx, momentum chirp ck and the number of sweeps whose
-    product cx ifft(ck fft(cx psi)), applied sweeps times, is U(t).
-
-    Each sweep rotates phase space by theta, shearing position by s_x and
-    momentum by s_k. Without dt the sweep is exact, up to a global phase:
-    theta = omega t is reduced mod 2 pi (densities are T-periodic) and
-    halved above pi/2, so s_x = tan(theta/2) stays at most 1, and
-    s_k = sin(theta). With dt a sweep is one Strang step: theta = omega t /
-    sweeps, sweeps = round(|t|/dt) so the requested time is hit exactly, and
-    the shears are their small-angle forms, s_x = theta/2 and s_k = theta.
-    """
+    """Position chirp cx, momentum chirp ck and the number of sweeps of
+    cx ifft(ck fft(cx psi)) that make U(t). A sweep rotates phase space by
+    theta with shears s_x and s_k. Without dt it is exact up to a global
+    phase: theta = omega t mod 2 pi (densities are T-periodic), halved above
+    pi/2 so s_x = tan(theta/2) stays at most 1, and s_k = sin(theta). With dt
+    it is one Strang step: theta = omega t / round(|t|/dt), which hits t
+    exactly, with the small-angle shears s_x = theta/2 and s_k = theta."""
     if dt is None:
         theta = math.remainder(params.omega * t, 2.0 * math.pi)
         sweeps = 2 if abs(theta) > 0.5 * math.pi else 1
@@ -210,20 +206,16 @@ def measure_and_collapse(
 def default_grid_for(cfg: ChainConfig, n_points: int = DEFAULT_N_POINTS) -> Grid:
     """Extent +-max(12 sigma_inf_predicted, 12 sigma_gs)."""
     cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
-    scale = cfg.params.sigma_gs
-    if cf.sigma_inf is not None:
-        scale = max(scale, cf.sigma_inf)
-    return Grid.symmetric(12.0 * scale, n_points)
+    return Grid.symmetric(12.0 * max(cfg.params.sigma_gs, cf.sigma_inf or 0.0), n_points)
 
 
 def _refuse_unresolved(cfg: ChainConfig, grid: Grid, cf: ChainClosedForm, mode: CollapseMode) -> None:
-    """The default grid spans +-12 max(sigma_inf, sigma_gs) on a fixed number
-    of points; a large sigma_inf or a tiny width leaves its spacing too coarse
-    for the instrument or the initial packet, and a wide or far-off packet
-    (the initial one, or a replacement of width sigma_M) overruns its extent.
-    A weak collapse needs a prior wider than the instrument, which the
-    evolved initial packet (width sigma_first) must be at the first
-    measurement."""
+    """A weak collapse needs a prior wider than sigma_M, which the first one,
+    the evolved initial packet, may not be. The default grid spans +-12
+    max(sigma_inf, sigma_gs) on a fixed number of points; a large sigma_inf
+    or a tiny width leaves its spacing too coarse for the instrument or the
+    initial packet, and a wide or far-off packet (the initial one, or a
+    replacement of width sigma_M) overruns its extent."""
     sigma_M = cfg.scheme.sigma_M
     if mode is CollapseMode.WEAK_PRODUCT and cf.sigma_first <= sigma_M:
         raise DomainError(

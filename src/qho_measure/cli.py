@@ -338,10 +338,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             if len(thinned) >= 100:
                 ks = normality_statistic(thinned, sigma_inf)
         # AR(1) standard error of the sample std, for chains that are
-        # stationary at sigma_inf: not jittered ones, nor weak grid chains
-        weak_grid = cfg.engine == "grid" and cfg.collapse == "weak"
+        # stationary at sigma_inf: not jittered ones, nor weak (grid) chains
         se = z = None
-        if sample_std is not None and sigma_inf is not None and cfg.jitter_std == 0.0 and not weak_grid:
+        if sample_std is not None and sigma_inf is not None and cfg.jitter_std == 0.0 and cfg.collapse != "weak":
             n_eff = len(samples) * (1.0 - cf.rho**2) / (1.0 + cf.rho**2)
             se = sigma_inf / math.sqrt(2.0 * n_eff)
             z = (sample_std - sigma_inf) / se

@@ -10,10 +10,11 @@ run can be repeated exactly from its own output.
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
 file or QHO_SEED; a usage error; an --out that cannot be written; jitter
-with the grid engine; weak collapse with the chain engine), 4 resonance, a
-setup whose numbers leave float range, a grid setup whose default grid is
-too coarse or too short for its packets, or a weak grid setup whose initial
-packet is not wider than the instrument at the first measurement.
+with the grid engine; weak collapse with the chain engine, or in analyze or
+sweep, which have no closed form for it), 4 resonance, a setup whose numbers
+leave float range, a grid setup whose default grid is too coarse or too
+short for its packets, or a weak grid setup whose initial packet is not
+wider than the instrument at the first measurement.
 """
 from __future__ import annotations
 
@@ -233,6 +234,8 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(cfg: RunConfig) -> int:
+    if cfg.collapse == "weak":
+        raise ConfigError("--collapse weak: analyze has closed forms for replace chains only")
     params = cfg.oscillator()
     cf = ChainClosedForm.from_setup(params, cfg.scheme(), cfg.packet())
     sigma_inf = limiting_sigma(cf)  # raises ResonanceError at resonance
@@ -390,6 +393,8 @@ def _axis(flag: str, triple, log: bool) -> np.ndarray:
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if cfg.collapse == "weak":
+        raise ConfigError("--collapse weak: sweep has closed forms for replace chains only")
     if args.sweep_varsigma is None and args.sweep_tau is None:
         raise ConfigError("sweep needs --sweep-varsigma and/or --sweep-tau")
     vs_axis = (

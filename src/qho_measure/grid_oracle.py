@@ -149,9 +149,16 @@ def evolve(
     if t == 0.0:
         return GridWavefunction(psi.grid, psi.psi.copy())
     cx, ck, sweeps = _sweep(psi.grid, t, params, dt)
-    out = psi.psi
-    for _ in range(sweeps):
-        out = cx * np.fft.ifft(ck * np.fft.fft(cx * out))
+    # one new array, swept in place: psi is left as it was, and each chirp
+    # stays the first operand, so the bits equal cx * ifft(ck * fft(cx * psi))
+    out = np.multiply(cx, psi.psi)
+    for sweep in range(sweeps):
+        if sweep:
+            np.multiply(cx, out, out=out)
+        np.fft.fft(out, out=out)
+        np.multiply(ck, out, out=out)
+        np.fft.ifft(out, out=out)
+        np.multiply(cx, out, out=out)
     return GridWavefunction(psi.grid, out)
 
 

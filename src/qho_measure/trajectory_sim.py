@@ -310,29 +310,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
-    """Pooled statistics of n_chains independent chains.
-
-    Per-chain RNG streams come from SeedSequence(cfg.seed).spawn. With w =
-    min(n_chains, usable CPUs), share s holds chains s, s + w, ...; the
-    calling thread runs share 0 and w - 1 helper threads the others, each
-    in a copy of the caller's context (so np.errstate holds in every
-    chain). The count/mean/variance merge is exact and runs in chain order,
-    and a failing chain raises as it would in a serial loop.
-    """
-    if n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
-    children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
-    workers = min(n_chains, _usable_cpus())
-    results: list = [None] * n_chains  # a chain's stats, or what it raised
+def _map_on_threads(task, n_tasks: int) -> list:
+    """[task(0), ..., task(n_tasks - 1)] on w = min(n_tasks, usable CPUs)
+    threads: share s holds tasks s, s + w, ...; the calling thread runs
+    share 0 and w - 1 helper threads the others, each in a copy of the
+    caller's context (so np.errstate holds in every task). A slot holds the
+    task's value or the exception it raised; a share stops at its first
+    exception, so its later slots stay None. Returns once every helper has
+    joined."""
+    workers = min(n_tasks, _usable_cpus())
+    results: list = [None] * n_tasks
 
     def run_share(share: int) -> None:
-        for i in range(share, n_chains, workers):
+        for i in range(share, n_tasks, workers):
             try:
-                results[i] = _run_chain_seeded(cfg, children[i])[1]
+                results[i] = task(i)
             except Exception as exc:
                 results[i] = exc
-                return  # the later chains of this share are never reached
+                return
 
     helpers = [
         threading.Thread(target=contextvars.copy_context().run, args=(run_share, share))
@@ -345,6 +340,21 @@ def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
     finally:
         for helper in helpers:
             helper.join()
+    return results
+
+
+def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
+    """Pooled statistics of n_chains independent chains.
+
+    Per-chain RNG streams come from SeedSequence(cfg.seed).spawn, and the
+    chains run on the usable CPUs (see _map_on_threads). The
+    count/mean/variance merge is exact and runs in chain order, and a
+    failing chain raises as it would in a serial loop.
+    """
+    if n_chains < 1:
+        raise ValueError("n_chains must be >= 1")
+    children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
+    results = _map_on_threads(lambda i: _run_chain_seeded(cfg, children[i])[1], n_chains)
     pooled = None
     for stats in results:  # a chain left unrun follows a failed one in its share
         if isinstance(stats, Exception):

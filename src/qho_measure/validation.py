@@ -4,6 +4,11 @@ Each check returns a CheckResult with the measured error, its tolerance and
 their ratio (the margin; a check passes at margin <= 1); the CLI `validate`
 subcommand renders these as pass/fail JSON. A check that crashed has none of
 the three (None, JSON null) and says why in its detail.
+
+run_battery runs the checks side by side on the usable CPUs: the FFTs and
+large ufuncs of the grid checks release the GIL. Every check is
+deterministic and independent of the others, so the results do not depend
+on the CPU count.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from .gaussian_core import (
     gaussian_product,
 )
 from .grid_oracle import DEFAULT_STEPS_PER_PERIOD, CollapseMode, Grid, evolve, init_packet
-from .trajectory_sim import ChainConfig, run_chain
+from .trajectory_sim import ChainConfig, _map_on_threads, run_chain
 
 # Each check passes when its measured error is at most its tolerance here.
 TOLERANCES = {
@@ -211,7 +216,9 @@ def check_weak_vs_replace(cfg: ChainConfig, grid: Grid) -> CheckResult:
 
 
 def run_battery(cfg: ChainConfig, grid: Grid) -> list[CheckResult]:
-    """Full cross-validation suite; exceptions become failed checks."""
+    """Full cross-validation suite, in the order below; exceptions become
+    failed checks. The checks run on the usable CPUs, each in the caller's
+    np.errstate (see trajectory_sim._map_on_threads)."""
     checks = [
         ("grid_vs_closed_form", lambda: check_grid_vs_closed_form(cfg.params, grid)),
         ("spectral_convergence", lambda: check_spectral_convergence(cfg.params, grid)),
@@ -221,11 +228,12 @@ def run_battery(cfg: ChainConfig, grid: Grid) -> list[CheckResult]:
         ("povm_roundtrip", check_povm_roundtrip),
         ("weak_vs_replace_gap", lambda: check_weak_vs_replace(cfg, grid)),
     ]
-    results = []
-    for name, fn in checks:
+
+    def run_check(i: int) -> CheckResult:
+        name, fn = checks[i]
         try:
-            results.append(fn())
+            return fn()
         except Exception as exc:  # a crash is a failed check with a diagnostic
-            detail = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(name, False, None, None, detail=detail))
-    return results
+            return CheckResult(name, False, None, None, detail=f"{type(exc).__name__}: {exc}")
+
+    return _map_on_threads(run_check, len(checks))

@@ -312,6 +312,9 @@ BAD_INPUTS = [
      None, None, 4),
     (["simulate", "--engine", "grid", "--collapse", "weak", "--tau-m", "0.5", "--varsigma-m", "2",
       "--n", "3"], None, None, 4),
+    # the closed forms hold for replace chains; a weak chain has no limit
+    (["analyze", "--collapse", "weak"], None, None, 3),
+    (["sweep", "--sweep-tau", "0.1", "0.4", "3"], {"collapse": "weak"}, None, 3),
 ]
 
 
@@ -365,13 +368,17 @@ def test_each_field_is_flag_and_config_key(tmp_path, f):
         assert (tmp_path / "key" / "analyze.json").exists()
         return
     (good_flag, good_key), (bad_flag, bad_key) = field_values(f)
-    assert run_cli(tmp_path / "flag", ["analyze", flag, good_flag]) == 0
-    assert run_cli(tmp_path / "key", ["analyze"], {f.name: good_key}) == 0
+    # analyze refuses a weak collapse, which only a grid simulate samples
+    command, record = ["analyze"], "analyze.json"
+    if f.name == "collapse":
+        command, record = ["simulate", "--engine", "grid", "--n", "2"], "summary.json"
+    assert run_cli(tmp_path / "flag", [*command, flag, good_flag]) == 0
+    assert run_cli(tmp_path / "key", command, {f.name: good_key}) == 0
     for form in ("flag", "key"):
-        echo = json.loads((tmp_path / form / "o" / "analyze.json").read_text())["config"]
+        echo = json.loads((tmp_path / form / "o" / record).read_text())["config"]
         assert echo[f.name] == good_key
-    assert run_cli(tmp_path / "bad_flag", ["analyze", flag, bad_flag]) == 3
-    assert run_cli(tmp_path / "bad_key", ["analyze"], {f.name: bad_key}) == 3
+    assert run_cli(tmp_path / "bad_flag", [*command, flag, bad_flag]) == 3
+    assert run_cli(tmp_path / "bad_key", command, {f.name: bad_key}) == 3
 
 
 def test_flag_names_unchanged(capsys):

@@ -21,7 +21,7 @@ from qho_measure import (
     measure_and_collapse,
     run_chain_grid,
 )
-from qho_measure.grid_oracle import _sample_from_density, _sweep, default_grid_for
+from qho_measure.grid_oracle import GridWavefunction, _sample_from_density, _sweep, default_grid_for
 
 
 class TestGrid:
@@ -118,6 +118,23 @@ class TestEvolve:
         fine = evolve(wf, t, params, dt=params.period / 4096)
         assert abs(coarse.position_std() - fine.position_std()) < 1e-6
 
+    @pytest.mark.parametrize("dt", (None, 0.3))
+    def test_sweeps_leave_input_and_bits(self, rng, dt):
+        # the sweeps run in place on a new array: the input is left as it
+        # was, and the bits are those of cx ifft(ck fft(cx psi)) per sweep
+        params = OscillatorParams(1.0, 0.707, 1.0)
+        g = Grid.symmetric(15.0, 2048)
+        psi = rng.normal(size=2048) + 1j * rng.normal(size=2048)
+        before = psi.copy()
+        for t in (0.3, 4.0, -1.1):
+            out = evolve(GridWavefunction(g, psi), t, params, dt=dt).psi
+            cx, ck, sweeps = _sweep(g, t, params, dt)
+            expected = psi
+            for _ in range(sweeps):
+                expected = cx * np.fft.ifft(ck * np.fft.fft(cx * expected))
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+            assert np.array_equal(psi.view(np.uint64), before.view(np.uint64))
+
 
 class TestExactEvolve:
     """evolve without dt: the exact three-chirp rotation."""
@@ -161,7 +178,6 @@ class TestExactEvolve:
         assert abs(out.position_mean() - mean) <= 1e-12
         assert abs(out.position_std() / 0.7 - 1.0) <= 1e-12
         assert abs(out.norm() - 1.0) <= 1e-12
-
 
 class TestSampling:
     def test_delta_density_sampled_in_place(self, rng):

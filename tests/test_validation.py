@@ -1,0 +1,97 @@
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from qho_measure import trajectory_sim as ts
+from qho_measure import validation
+from qho_measure.grid_oracle import default_grid_for
+from qho_measure.validation import CheckResult, run_battery
+
+# run_battery's checks, by the module attribute each one is looked up under
+CHECKS = {
+    "grid_vs_closed_form": "check_grid_vs_closed_form",
+    "spectral_convergence": "check_spectral_convergence",
+    "chain_vs_sigma_inf": "check_chain_vs_limit",
+    "two_step_quadrature": "check_two_step_quadrature",
+    "partial_sum_identity": "check_partial_sum_identity",
+    "povm_roundtrip": "check_povm_roundtrip",
+    "weak_vs_replace_gap": "check_weak_vs_replace",
+}
+
+
+class TestRunBattery:
+    @pytest.fixture
+    def setup(self, ref_config):
+        cfg = ref_config(n=20000, seed=3)
+        return cfg, default_grid_for(cfg, n_points=1024)
+
+    @staticmethod
+    def serial(cfg, grid):
+        """The battery as a single-threaded loop over the checks."""
+        return [
+            validation.check_grid_vs_closed_form(cfg.params, grid),
+            validation.check_spectral_convergence(cfg.params, grid),
+            validation.check_chain_vs_limit(cfg),
+            validation.check_two_step_quadrature(cfg.params),
+            validation.check_partial_sum_identity(cfg),
+            validation.check_povm_roundtrip(),
+            validation.check_weak_vs_replace(cfg, grid),
+        ]
+
+    @staticmethod
+    def stub_checks(monkeypatch, seen, fail=None):
+        """Replace every check by one that records its name, thread and
+        np.geterr(); the check named fail raises instead."""
+        for name, attr in CHECKS.items():
+            def stub(*args, name=name):
+                seen.append((name, threading.get_ident(), np.geterr()))
+                if name == fail:
+                    raise ValueError(f"{name} broke")
+                return CheckResult(name, True, 0.0, 1.0)
+
+            monkeypatch.setattr(validation, attr, stub)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 7])
+    def test_matches_serial_run(self, monkeypatch, setup, cpus):
+        cfg, grid = setup
+        expected = [r.as_dict() for r in self.serial(cfg, grid)]
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter lock as often as they can
+        try:
+            got = [r.as_dict() for r in run_battery(cfg, grid)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [c["name"] for c in got] == list(CHECKS)
+        # repr tells -0.0 from 0.0, so this is bit for bit
+        assert repr(got) == repr(expected)
+
+    def test_crash_fails_its_own_check_only(self, monkeypatch, setup):
+        seen = []
+        self.stub_checks(monkeypatch, seen, fail="two_step_quadrature")
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 2)
+        results = run_battery(*setup)
+        assert sorted(name for name, _, _ in seen) == sorted(CHECKS)
+        assert [r.name for r in results] == list(CHECKS)
+        crashed = results[3]
+        assert (crashed.passed, crashed.measured, crashed.tolerance) == (False, None, None)
+        assert crashed.detail == "ValueError: two_step_quadrature broke"
+        assert all(r.passed for i, r in enumerate(results) if i != 3)
+
+    def test_errstate_reaches_every_check(self, monkeypatch, setup):
+        seen = []
+        self.stub_checks(monkeypatch, seen)
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 2)
+        with np.errstate(all="raise"):
+            run_battery(*setup)
+        assert len(seen) == 7 and len({ident for _, ident, _ in seen}) == 2
+        assert all(err == dict.fromkeys(("divide", "over", "under", "invalid"), "raise") for *_, err in seen)
+
+    def test_joins_its_threads(self, monkeypatch, setup):
+        self.stub_checks(monkeypatch, [], fail="spectral_convergence")
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 7)
+        before = threading.active_count()
+        run_battery(*setup)
+        assert threading.active_count() == before

@@ -9,15 +9,17 @@ exact linear Gaussian chain:
 with iid standard-normal eta. No discretization is involved; the grid
 oracle exists to cross-check this construction, not the other way round.
 
-The recurrence is evaluated by ar1_scan, a numpy-only lane scan that
+The recurrence is evaluated by a numpy-only lane scan (ar1_scan) that
 gives the same bits as the step-by-step loop (one rounded product and one
 rounded sum per step), so a seed's output does not depend on how the scan
-is cut into chunks and lanes.
+is cut into chunks and lanes. A chain is drawn, scanned and pushed into
+its statistics SCAN_CHUNK steps at a time (see _run_chain_seeded).
 
 RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
-exactly one draw (no rejection loops in the record path). Ensembles split
-the seed with SeedSequence.spawn.
+exactly one draw (no rejection loops in the record path). Draws made chunk
+by chunk are bit-identical to one whole-length draw. Ensembles split the
+seed with SeedSequence.spawn.
 
 Ensembles run their chains on several threads (see run_ensemble): the heavy
 kernels (PCG64 draws, ndtri, the lane scan's row ufuncs, np.histogram)
@@ -47,9 +49,10 @@ THINNING_THRESHOLD = 0.05
 HIST_BINS = 200
 HIST_HALF_WIDTH_SIGMAS = 6.0
 
-# ar1_scan works on chunks of this many samples, which bounds its scratch
-# memory whatever the chain length, and runs its loop on pieces of at most
-# SCAN_LOOP_PIECE samples: longer Python lists are slower per sample.
+# Chains are drawn and scanned in chunks of this many samples, which bounds
+# their scratch memory whatever the chain length; the scan runs its loop on
+# pieces of at most SCAN_LOOP_PIECE samples: longer Python lists are slower
+# per sample.
 SCAN_CHUNK = 1 << 19
 SCAN_LOOP_PIECE = 1 << 17
 # Warm-up steps added to the 53-bit decay length of each lane.
@@ -156,13 +159,13 @@ class RunningStats:
         return out
 
 
-def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Inverse-CDF normals: one uniform per sample, fully deterministic."""
+def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Inverse-CDF normals into out: one uniform per sample, fully deterministic."""
     from scipy.special import ndtri  # loaded only by the commands that sample
 
-    u = rng.random(n)
-    np.maximum(u, 1e-300, out=u)  # ndtri(0) is -inf
-    return ndtri(u, out=u)
+    rng.random(out=out)
+    np.maximum(out, 1e-300, out=out)  # ndtri(0) is -inf
+    return ndtri(out, out=out)
 
 
 def _scan_loop(a, b: np.ndarray, y: float) -> np.ndarray:
@@ -247,44 +250,60 @@ def ar1_scan(a, b: np.ndarray, y0: float) -> np.ndarray:
     return out
 
 
-def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence):
-    """Draw and scan one chain. Without jitter every step has the nominal
-    memory coefficient and width; with it, the periods are drawn first and
-    each step's coefficient and width are recomputed for its period."""
+def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: bool = True):
+    """Draw, scale and scan one chain SCAN_CHUNK steps at a time, in buffers
+    reused from chunk to chunk, and push each chunk into the statistics.
+    With keep the outcomes (and periods) are written straight into the
+    returned record; without it they live in chunk buffers and the record is
+    None, so the chain's memory does not grow with its length.
+
+    Without jitter every step has the nominal memory coefficient and width.
+    With it, uniforms 0..n-1 give the periods and n..2n-1 the noise, and each
+    step's coefficient and width are recomputed for its period."""
     params, scheme, n = cfg.params, cfg.scheme, cfg.n_measurements
     cf = ChainClosedForm.from_setup(params, scheme, cfg.initial)
     resonant = cf.sigma_inf is None
-    if resonant and scheme.jitter_std == 0.0:
+    jittered = scheme.jitter_std != 0.0
+    if resonant and not jittered:
         raise ResonanceError(
             f"t_M = {scheme.t_M} resonant: chain variance diverges without jitter"
         )
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    # every array below is scaled in place and noise is freed after the scan,
-    # so a chain holds no more full-length arrays than it needs at once
-    if scheme.jitter_std == 0.0:
-        periods = None
-        noise = _standard_normal(rng, n)
-        first = cf.sigma_first * noise[0]  # the first step evolves the initial packet
-        noise *= cf.sigma_step
-        noise[0] = first
-        x = ar1_scan(cf.rho, noise, cfg.initial.x0)
-    else:
-        periods = _standard_normal(rng, n)
-        periods *= scheme.jitter_std
-        periods += scheme.t_M
-        np.maximum(periods, T_MIN_FRACTION * scheme.t_M, out=periods)
-        noise = _standard_normal(rng, n)
-        first = evolved_width(params, cfg.initial.sigma_x0, periods[0]) * noise[0]
-        noise *= evolved_width(params, scheme.sigma_M, periods)
-        noise[0] = first
-        # the coefficients are a temporary, freed before push_array's scratch
-        x = ar1_scan(np.cos(params.omega * periods), noise, cfg.initial.x0)
-    del noise
     # a resonant chain has no limiting width; its histogram takes a generous one
     scale = 10.0 * max(cf.sigma_first, cf.sigma_step, params.sigma_gs) if resonant else cf.sigma_inf
     stats = RunningStats.for_scale(scale)
-    stats.push_array(x)
-    return MeasurementRecord(samples=x, periods=periods), stats
+
+    m = min(n, SCAN_CHUNK)
+    x = np.empty(n if keep else m)
+    periods = np.empty(n if keep else m) if jittered else None
+    noise, coeffs = np.empty(m), np.empty(m) if jittered else None
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    # PCG64 draws in chunks give the bits of one draw; the noise follows all
+    # n periods, so a second generator moved on by n draws reads it per chunk
+    noise_rng = np.random.Generator(np.random.PCG64(seed_seq).advance(n)) if jittered else rng
+    y = float(cfg.initial.x0)
+    for lo in range(0, n, SCAN_CHUNK):
+        size = min(SCAN_CHUNK, n - lo)
+        part = slice(lo, lo + size) if keep else slice(0, size)
+        b = _standard_normal(noise_rng, noise[:size])
+        eta0 = b[0]
+        if jittered:
+            t = _standard_normal(rng, periods[part])
+            t *= scheme.jitter_std
+            t += scheme.t_M
+            np.maximum(t, T_MIN_FRACTION * scheme.t_M, out=t)
+            b *= evolved_width(params, scheme.sigma_M, t)
+            a = coeffs[:size]
+            np.cos(np.multiply(params.omega, t, out=a), out=a)
+        else:
+            b *= cf.sigma_step
+            a = cf.rho
+        if lo == 0:  # the first step evolves the initial packet
+            b[0] = eta0 * (evolved_width(params, cfg.initial.sigma_x0, t[0]) if jittered else cf.sigma_first)
+        out = x[part]
+        _scan_chunk(a, b, y, out)
+        y = float(out[-1])
+        stats.push_array(out)
+    return (MeasurementRecord(samples=x, periods=periods) if keep else None), stats
 
 
 def run_chain(cfg: ChainConfig) -> tuple[MeasurementRecord, RunningStats]:
@@ -312,31 +331,37 @@ def _usable_cpus() -> int:
 
 def _map_on_threads(task, n_tasks: int) -> list:
     """[task(0), ..., task(n_tasks - 1)] on w = min(n_tasks, usable CPUs)
-    threads: share s holds tasks s, s + w, ...; the calling thread runs
-    share 0 and w - 1 helper threads the others, each in a copy of the
-    caller's context (so np.errstate holds in every task). A slot holds the
-    task's value or the exception it raised; a share stops at its first
-    exception, so its later slots stay None. Returns once every helper has
-    joined."""
+    threads: the calling thread and w - 1 helper threads, each in a copy of
+    the caller's context (so np.errstate holds in every task). Thread s
+    starts with task s, then takes the next task not yet started, in index
+    order, until none is left. A slot holds the task's value or the
+    exception it raised. After an exception no thread takes another task,
+    so every slot before the first failing one is filled and only later
+    slots may stay None. Returns once every helper has joined."""
     workers = min(n_tasks, _usable_cpus())
     results: list = [None] * n_tasks
+    untaken, lock = iter(range(workers, n_tasks)), threading.Lock()
+    failed = False
 
-    def run_share(share: int) -> None:
-        for i in range(share, n_tasks, workers):
+    def take_tasks(i: int | None) -> None:
+        nonlocal failed
+        while i is not None:
             try:
                 results[i] = task(i)
             except Exception as exc:
                 results[i] = exc
-                return
+                failed = True
+            with lock:
+                i = None if failed else next(untaken, None)
 
     helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run_share, share))
-        for share in range(1, workers)
+        threading.Thread(target=contextvars.copy_context().run, args=(take_tasks, s))
+        for s in range(1, workers)
     ]
     for helper in helpers:
         helper.start()
     try:
-        run_share(0)
+        take_tasks(0)
     finally:
         for helper in helpers:
             helper.join()
@@ -354,9 +379,9 @@ def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
-    results = _map_on_threads(lambda i: _run_chain_seeded(cfg, children[i])[1], n_chains)
+    results = _map_on_threads(lambda i: _run_chain_seeded(cfg, children[i], False)[1], n_chains)
     pooled = None
-    for stats in results:  # a chain left unrun follows a failed one in its share
+    for stats in results:  # a chain left unrun follows a failed one
         if isinstance(stats, Exception):
             raise stats
         pooled = stats if pooled is None else pooled.merge(stats)

@@ -235,7 +235,7 @@ class TestRunEnsembleThreads:
         # chains 2 and 3 fail, on different threads; a serial loop stops at 2
         run = ts._run_chain_seeded
 
-        def failing(cfg, seed_seq):
+        def failing(cfg, seed_seq, keep):
             chain = seed_seq.spawn_key[-1]
             if chain >= 2:
                 raise ValueError(f"chain {chain}")
@@ -249,7 +249,7 @@ class TestRunEnsembleThreads:
     def test_errstate_reaches_every_chain(self, monkeypatch, ref_config):
         run, seen = ts._run_chain_seeded, []
 
-        def recording(cfg, seed_seq):
+        def recording(cfg, seed_seq, keep):
             seen.append((threading.get_ident(), np.geterr()))
             return run(cfg, seed_seq)
 
@@ -260,23 +260,90 @@ class TestRunEnsembleThreads:
         assert len(seen) == 4 and len({ident for ident, _ in seen}) == 2
         assert all(err == dict.fromkeys(("divide", "over", "under", "invalid"), "raise") for _, err in seen)
 
+    def test_idle_thread_takes_the_next_task(self, monkeypatch):
+        # task 0 sleeps until every other task is done, so the other thread,
+        # not a fixed share of task 0's thread, has to run all of them
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 2)
+        n_tasks, others_done, threads = 7, threading.Event(), {}
+
+        def task(i):
+            threads[i] = threading.get_ident()
+            if i == 0:
+                others_done.wait(timeout=5.0)
+            elif threads.keys() >= set(range(1, n_tasks)):
+                others_done.set()
+            return i * i
+
+        assert ts._map_on_threads(task, n_tasks) == [i * i for i in range(n_tasks)]
+        assert all(threads[i] != threads[0] for i in range(1, n_tasks))
+
+
+class TestMultiChunkChain:
+    """A chain over several scan chunks and a partial one: its bytes are
+    pinned to those of one whole-length draw and scan, and its streamed
+    statistics to numpy's over the whole record."""
+
+    N = 3 * ts.SCAN_CHUNK + 7
+
+    @staticmethod
+    def digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    @staticmethod
+    def assert_stats_match_record(stats, xs):
+        inner, _ = np.histogram(xs, bins=stats.edges)
+        assert np.array_equal(stats.counts[1:-1], inner)
+        assert stats.counts[0] == np.sum(xs < stats.edges[0])
+        assert stats.counts[-1] == np.sum(xs > stats.edges[-1])
+        assert stats.count == xs.size
+        assert math.isclose(stats.mean, np.mean(xs), rel_tol=1e-12)
+        assert math.isclose(stats.variance, np.var(xs), rel_tol=1e-12)
+
+    def test_plain_bytes(self, ref_config):
+        record, stats = run_chain(ref_config(n=self.N, seed=17))
+        assert self.digest(record.samples) == "1b6370b97cd277ddfa621053ad68f74914adc473090fc0da51276ec1f092dbde"
+        self.assert_stats_match_record(stats, record.samples)
+
+    def test_jittered_bytes(self, ref_config, ref_scheme):
+        record, stats = run_chain(ref_config(n=self.N, seed=17, jitter_std=0.05 * ref_scheme.t_M))
+        assert self.digest(record.samples) == "d4ecc29ea3ef447dc8f9e222a86da600df85439d910f873f1ddbd62ebb77d7ff"
+        assert self.digest(record.periods) == "476b7fdc3d0149095020c3375c0cca6f6bb3fb6e415d6cf79dbadd88f1e473a2"
+        self.assert_stats_match_record(stats, record.samples)
+
+
+def traced_peak(call) -> int:
+    """Peak traced allocation, in bytes, while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestChainMemory:
-    """Peak traced allocation of one run_chain, returned record included:
-    the chain keeps no more full-length temporaries than it needs at once."""
+    """Peak traced allocation of a chain: run_chain holds its record plus
+    scratch of a few scan chunks; an ensemble chain holds only the scratch."""
 
-    @pytest.mark.parametrize("jitter,limit", [(0.0, 20.0), (0.05, 38.0)])
+    @pytest.mark.parametrize("jitter,limit", [(0.0, 13.0), (0.05, 25.0)])
     def test_peak_bytes_per_sample(self, ref_config, ref_scheme, jitter, limit):
         n = 1 << 21
         jitter_std = jitter * ref_scheme.t_M
         run_chain(ref_config(n=1000, jitter_std=jitter_std))  # imports scipy.special untraced
-        tracemalloc.start()
-        try:
-            run_chain(ref_config(n=n, seed=3, jitter_std=jitter_std))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: run_chain(ref_config(n=n, seed=3, jitter_std=jitter_std)))
         assert peak / n <= limit
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_ensemble_peak_does_not_grow_with_n(self, monkeypatch, ref_config, ref_scheme, jitter):
+        # one thread, so that the peak does not depend on how chains overlap
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 1)
+        jitter_std = jitter * ref_scheme.t_M
+        run_chain(ref_config(n=1000, jitter_std=jitter_std))  # imports scipy.special untraced
+        short, long = (
+            traced_peak(lambda: run_ensemble(ref_config(n=n, seed=3, jitter_std=jitter_std), n_chains=2))
+            for n in (1 << 20, 1 << 22)
+        )
+        assert abs(long - short) <= 1 << 20
 
 
 class TestNormality:

@@ -379,7 +379,7 @@ def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
-    results = _map_on_threads(lambda i: _run_chain_seeded(cfg, children[i], False)[1], n_chains)
+    results = _map_on_threads(lambda i: _run_chain_seeded(cfg, children[i], keep=False)[1], n_chains)
     pooled = None
     for stats in results:  # a chain left unrun follows a failed one
         if isinstance(stats, Exception):

@@ -142,18 +142,29 @@ def limiting_sigma(cf: ChainClosedForm) -> float:
     return cf.sigma_inf
 
 
+def _limit_width(width: float, angle: float, gs: float) -> float:
+    """sqrt(width^2 cot^2(angle) + gs^4 / (4 width^2)), the limiting width of
+    both forms below. Raises ResonanceError where |sin(angle)| <= EPS_RES and
+    DomainError where the value leaves float range."""
+    s, c = math.sin(angle), math.cos(angle)
+    if abs(s) <= EPS_RES:
+        raise ResonanceError(f"|sin({angle!r})| <= {EPS_RES}: resonant, the limiting width diverges")
+    try:
+        w2 = width**2
+        value = math.sqrt(w2 * (c / s) ** 2 + gs**4 / (4.0 * w2))
+    except ArithmeticError:  # a power overflows, or width^2 underflows to 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"limiting width outside float range at width {width!r}, sigma_gs {gs!r}")
+    return value
+
+
 def limiting_sigma_simplified(params: OscillatorParams, scheme: MeasurementScheme) -> float:
     """Limiting width written directly in instrument terms:
 
     sqrt(sigma_M^2 cot^2(omega t_M) + sigma_gs^4 / (4 sigma_M^2))
     """
-    wt = params.omega * scheme.t_M
-    s, c = math.sin(wt), math.cos(wt)
-    if abs(s) <= EPS_RES:
-        raise ResonanceError(f"t_M = {scheme.t_M} is resonant (|sin omega t_M| <= {EPS_RES})")
-    sgs = params.sigma_gs
-    sm2 = scheme.sigma_M**2
-    return math.sqrt(sm2 * (c / s) ** 2 + sgs**4 / (4.0 * sm2))
+    return _limit_width(scheme.sigma_M, params.omega * scheme.t_M, params.sigma_gs)
 
 
 def nondim_limit(p: NondimPoint) -> float:
@@ -161,12 +172,7 @@ def nondim_limit(p: NondimPoint) -> float:
 
     varsigma_inf = sqrt(varsigma_M^2 cot^2(2 pi tau_M) + 1/(4 varsigma_M^2))
     """
-    ang = 2.0 * math.pi * p.tau_M
-    s, c = math.sin(ang), math.cos(ang)
-    if abs(s) <= EPS_RES:
-        raise ResonanceError(f"tau_M = {p.tau_M} is resonant (half-integer)")
-    v2 = p.varsigma_M**2
-    return math.sqrt(v2 * (c / s) ** 2 + 1.0 / (4.0 * v2))
+    return _limit_width(p.varsigma_M, 2.0 * math.pi * p.tau_M, 1.0)
 
 
 def optimal_precision(tau_M: float) -> float:
@@ -193,8 +199,8 @@ def ensemble_variance_partial(cf: ChainClosedForm, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if abs(cf.rho) >= 1.0 or cf.sin_abs <= EPS_RES:
-        raise ResonanceError("|rho| at or above 1 - eps: ensemble variance diverges")
+    if cf.sigma_inf is None:
+        raise ResonanceError(f"|sin(omega t_M)| = {cf.sin_abs:.3e} <= {EPS_RES}: ensemble variance diverges")
     q = cf.rho * cf.rho
     gn = _geometric_sum(q, n)  # (1 - q^n)/(1 - q)
     total = cf.sigma_step**2 * (n - gn) / (1.0 - q) + cf.sigma_first**2 * gn

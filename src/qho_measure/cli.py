@@ -284,10 +284,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     sigma_inf = cf.sigma_inf
 
     if cfg.engine == "grid":
-        record = run_chain_grid(
-            chain_cfg,
-            mode=CollapseMode.WEAK_PRODUCT if cfg.collapse == "weak" else CollapseMode.REPLACE,
-        )
+        record = run_chain_grid(chain_cfg, mode=CollapseMode(cfg.collapse))
         stats = RunningStats.for_scale(sigma_inf if sigma_inf else 10 * params.sigma_gs)
         stats.push_array(record.samples)
     else:
@@ -317,6 +314,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             f.write("n,std\n")
             for k in _running_std_checkpoints(len(samples)):
                 std = float(np.std(samples[:k])) if k > 1 else None
+                # finite outcomes whose squares overflow; the last row is sample_std
+                if std is not None and not math.isfinite(std):
+                    raise DomainError(f"the std of the first {k} outcomes overflows; no files written")
                 f.write(f"{k},{_fmt(std)}\n")
 
         path = out / "histogram.csv"

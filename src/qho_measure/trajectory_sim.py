@@ -9,11 +9,11 @@ exact linear Gaussian chain:
 with iid standard-normal eta. No discretization is involved; the grid
 oracle exists to cross-check this construction, not the other way round.
 
-The recurrence is evaluated by a numpy-only lane scan (ar1_scan) that
+The recurrence is evaluated by a numpy-only lane scan, ar1_scan, that
 gives the same bits as the step-by-step loop (one rounded product and one
 rounded sum per step), so a seed's output does not depend on how the scan
-is cut into chunks and lanes. A chain is drawn, scanned and pushed into
-its statistics SCAN_CHUNK steps at a time (see _run_chain_seeded).
+is cut into chunks and lanes. _run_chain_seeded calls ar1_scan once per
+SCAN_CHUNK steps, then pushes the chunk into the chain's statistics.
 
 RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
@@ -189,11 +189,16 @@ def _scan_warmup(a) -> int | None:
     return max(1, decay + SCAN_WARMUP_MARGIN)
 
 
-def _scan_chunk(a, b: np.ndarray, y: float, out: np.ndarray) -> None:
-    """out = ar1_scan(a, b, y) for one chunk, by lanes of k samples scanned side
-    by side. Lane j >= 1 warms up from zero over lane j-1; where its warm-up
-    ends on lane j-1's last value bit for bit, its later steps are the loop's.
-    Other lanes, and the samples after the last lane, go to the loop."""
+def ar1_scan(a, b: np.ndarray, y: float, out: np.ndarray) -> np.ndarray:
+    """y_i = b_i + a_i y_{i-1} for i = 0..n-1, from y_{-1} = y, into out.
+
+    a is a scalar or an array like b. The result has the same bits as the
+    sequential loop, which rounds the product a_i y_{i-1} and then the sum,
+    as a first-order IIR filter's loop does. Lanes of k samples are scanned
+    side by side: lane j >= 1 warms up from zero over lane j-1, and where
+    its warm-up ends on lane j-1's last value bit for bit, its later steps
+    are the loop's. Other lanes, and the samples after the last lane, go to
+    the loop."""
     m = b.size
     k = _scan_warmup(a)
     lanes = 0 if k is None else m // k
@@ -202,7 +207,7 @@ def _scan_chunk(a, b: np.ndarray, y: float, out: np.ndarray) -> None:
             hi = min(lo + SCAN_LOOP_PIECE, m)
             out[lo:hi] = _scan_loop(a if np.ndim(a) == 0 else a[lo:hi], b[lo:hi], y)
             y = float(out[hi - 1])
-        return
+        return out
 
     whole = lanes * k
     y_rows = b[:whole].reshape(lanes, k).T.copy()  # [t, j] = b[j k + t], then y there
@@ -231,22 +236,6 @@ def _scan_chunk(a, b: np.ndarray, y: float, out: np.ndarray) -> None:
         # lane j+1 was checked against lane j's old last value
         if j + 1 < lanes and (not todo or todo[-1] != j + 1) and warm_end[j + 1] != bits[hi - 1]:
             todo.append(j + 1)
-
-
-def ar1_scan(a, b: np.ndarray, y0: float) -> np.ndarray:
-    """y_i = b_i + a_i y_{i-1} for i = 0..n-1, from y_{-1} = y0.
-
-    a is a scalar or an array like b. The result has the same bits as the
-    sequential loop, which rounds the product a_i y_{i-1} and then the sum,
-    as a first-order IIR filter's loop does.
-    """
-    b = np.asarray(b, dtype=float)
-    out = np.empty(b.size)
-    y = float(y0)
-    for lo in range(0, b.size, SCAN_CHUNK):
-        hi = min(lo + SCAN_CHUNK, b.size)
-        _scan_chunk(a if np.ndim(a) == 0 else a[lo:hi], b[lo:hi], y, out[lo:hi])
-        y = float(out[hi - 1])
     return out
 
 
@@ -299,8 +288,7 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
             a = cf.rho
         if lo == 0:  # the first step evolves the initial packet
             b[0] = eta0 * (evolved_width(params, cfg.initial.sigma_x0, t[0]) if jittered else cf.sigma_first)
-        out = x[part]
-        _scan_chunk(a, b, y, out)
+        out = ar1_scan(a, b, y, x[part])
         y = float(out[-1])
         stats.push_array(out)
     return (MeasurementRecord(samples=x, periods=periods) if keep else None), stats

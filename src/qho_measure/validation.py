@@ -2,8 +2,9 @@
 
 Each check returns a CheckResult with the measured error, its tolerance and
 their ratio (the margin; a check passes at margin <= 1); the CLI `validate`
-subcommand renders these as pass/fail JSON. A check that crashed has none of
-the three (None, JSON null) and says why in its detail.
+subcommand renders these as pass/fail JSON. A check that crashed (a
+non-finite measured error counts as a crash) has none of the three (None,
+JSON null) and says why in its detail.
 
 run_battery runs the checks side by side on the usable CPUs: the FFTs and
 large ufuncs of the grid checks release the GIL. Every check is
@@ -68,6 +69,8 @@ class CheckResult:
 
 def _result(name, measured, detail=""):
     tolerance = TOLERANCES[name]
+    if not math.isfinite(measured):  # run_battery reports it as a crash
+        raise FloatingPointError(f"measured error is {measured}; {detail}".removesuffix("; "))
     return CheckResult(name, measured <= tolerance, float(measured), tolerance, detail)
 
 

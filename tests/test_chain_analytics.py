@@ -78,7 +78,7 @@ class TestDensityBeforeNth:
         # with every kick zero the chain is x_i = rho x_{i-1} from x0
         for rho in (0.6, -0.83, 0.999):
             cf = make_cf(sigma_step=0.9, sigma_first=2.1, rho=rho)
-            path = ar1_scan(rho, np.zeros(40), -2.5)
+            path = ar1_scan(rho, np.zeros(40), -2.5, np.empty(40))
             for n in (1, 2, 3, 17, 40):
                 mean = density_before_nth(cf, n, x0=-2.5).mean
                 assert abs(mean - path[n - 1]) <= 1e-14 * 2.5
@@ -167,6 +167,14 @@ class TestNondimLimit:
         with pytest.raises(ResonanceError):
             nondim_limit(NondimPoint(0.5, 0.5))
 
+    @pytest.mark.parametrize("varsigma", [1e-200, 1e-160, 1e200])
+    def test_outside_float_range_raises(self, ref_params, varsigma):
+        with pytest.raises(DomainError):
+            nondim_limit(NondimPoint(varsigma, 0.2))
+        scheme = MeasurementScheme(t_M=0.2 * ref_params.period, sigma_M=varsigma * ref_params.sigma_gs)
+        with pytest.raises(DomainError):
+            limiting_sigma_simplified(ref_params, scheme)
+
 
 class TestOptimalPrecision:
     def test_eighth_period(self):
@@ -224,6 +232,11 @@ class TestEnsembleVariancePartial:
         cf = make_cf(sigma_step=0.9, sigma_first=2.1, rho=0.6)
         v_inf = limiting_sigma(cf) ** 2
         assert abs(ensemble_variance_partial(cf, 10**6) - v_inf) < 1e-4 * v_inf
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_unit_rho_raises(self, rho):
+        with pytest.raises(ResonanceError):
+            ensemble_variance_partial(make_cf(rho=rho), 10)
 
     def test_memoryless(self):
         cf = make_cf(sigma_step=0.8, sigma_first=1.7, rho=0.0)

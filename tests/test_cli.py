@@ -219,6 +219,20 @@ class TestSweep:
         assert abs(best[0] - 1.0 / math.sqrt(2.0)) < 0.01
         assert abs(best[1] - 1.0) < 1e-4
 
+    @pytest.mark.parametrize("axes,flags", [
+        (["--sweep-varsigma", "1e-160", "1e200", "3", "--log-varsigma"], ["domain", "ok", "domain"]),
+        (["--sweep-tau", "0.1", "0.2", "2", "--sweep-varsigma", "1e-200", "1", "2", "--log-varsigma"],
+         ["domain", "ok", "domain", "ok"]),
+    ])
+    def test_points_outside_float_range_flagged_domain(self, tmp_path, axes, flags):
+        # varsigma_M^2 overflows, or underflows to 0, in the closed form
+        out = tmp_path / "o"
+        assert main(["sweep", *axes, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [r[3] for r in rows] == flags
+        assert all(r[2] == "" for r in rows if r[3] == "domain")
+        assert all(math.isfinite(float(field)) for r in rows for field in r[:3] if field)
+
     def test_missing_axes_is_config_error(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == 3
 
@@ -240,6 +254,17 @@ class TestValidate:
         rc = main(["validate", "--n", "2000", "--grid-n", "1024", "--out", str(out)])
         assert rc in (0, 2)
         assert strict_json(out / "validate.json")["grid_n"] == 1024
+
+    def test_non_finite_error_is_null(self, tmp_path, capsys):
+        # the chain's outcomes are finite but their squares overflow: the
+        # check fails as a crash does, with null values, and names the value
+        out = tmp_path / "o"
+        assert main(["validate", "--x0", "1e300", "--n", "1000", "--out", str(out)]) == 2
+        data = strict_json(out / "validate.json")
+        (chain,) = [c for c in data["checks"] if c["name"] == "chain_vs_sigma_inf"]
+        assert not chain["passed"] and chain["measured"] is None and chain["margin"] is None
+        assert "measured error is nan" in chain["detail"]
+        assert "measured error is nan" in capsys.readouterr().out
 
     def test_designed_failure_exit_code(self, tmp_path, capsys):
         # a 256-point grid cannot resolve the instrument width
@@ -315,6 +340,11 @@ BAD_INPUTS = [
     # the closed forms hold for replace chains; a weak chain has no limit
     (["analyze", "--collapse", "weak"], None, None, 3),
     (["sweep", "--sweep-tau", "0.1", "0.4", "3"], {"collapse": "weak"}, None, 3),
+    # sigma_gs^4 / (4 sigma_M^2) overflows in both closed forms of the limit
+    (["analyze", "--sigma-m", "1e-160"], None, None, 4),
+    # finite outcomes whose squares overflow in the sample std
+    (["simulate", "--sigma-m", "1e-160", "--n", "5"], None, None, 4),
+    (["simulate", "--x0", "1e300", "--n", "5"], None, None, 4),
 ]
 
 

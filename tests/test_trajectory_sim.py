@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.signal import lfilter
+from scipy.special import ndtri
 
 import qho_measure.trajectory_sim as ts
 from qho_measure import (
@@ -18,6 +19,7 @@ from qho_measure import (
     RunningStats,
     WavePacket,
     density_before_nth,
+    evolved_width,
     ks_critical_1pct,
     normality_statistic,
     run_chain,
@@ -280,8 +282,9 @@ class TestRunEnsembleThreads:
 
 class TestMultiChunkChain:
     """A chain over several scan chunks and a partial one: its bytes are
-    pinned to those of one whole-length draw and scan, and its streamed
-    statistics to numpy's over the whole record."""
+    pinned to those of one whole-length draw and scan, and equal to a
+    reference built from that draw; its streamed statistics equal numpy's
+    over the whole record."""
 
     N = 3 * ts.SCAN_CHUNK + 7
 
@@ -309,6 +312,40 @@ class TestMultiChunkChain:
         assert self.digest(record.samples) == "d4ecc29ea3ef447dc8f9e222a86da600df85439d910f873f1ddbd62ebb77d7ff"
         assert self.digest(record.periods) == "476b7fdc3d0149095020c3375c0cca6f6bb3fb6e415d6cf79dbadd88f1e473a2"
         self.assert_stats_match_record(stats, record.samples)
+
+    @staticmethod
+    def length(kind, rho):
+        """A chunk plus half a lane (the second chunk takes the loop), or
+        three chunks plus 7 steps."""
+        return ts.SCAN_CHUNK + ts._scan_warmup(rho) // 2 if kind == "chunk_half_lane" else 3 * ts.SCAN_CHUNK + 7
+
+    @pytest.mark.parametrize("kind", ["chunk_half_lane", "three_chunks_7"])
+    @pytest.mark.parametrize("x0", [0.0, 1.3])
+    @pytest.mark.parametrize("tau", [0.2, 0.45])
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_matches_whole_length_reference(self, ref_params, tau, x0, jitter, kind):
+        # the noise from one whole-length draw, then the recurrence by
+        # lfilter (plain) or step by step in Python floats (jittered)
+        t_M = tau * ref_params.period
+        scheme = MeasurementScheme(t_M=t_M, sigma_M=0.5, jitter_std=jitter * t_M)
+        packet = WavePacket(x0=x0, sigma_x0=ref_params.sigma_gs)
+        cf = ChainClosedForm.from_setup(ref_params, scheme, packet)
+        n = self.length(kind, cf.rho)
+        record, _ = run_chain(ChainConfig(ref_params, scheme, packet, n, seed=17))
+        u = np.random.Generator(np.random.PCG64(17)).random(2 * n if jitter else n)
+        eta = ndtri(np.maximum(u, 1e-300))
+        if jitter:  # uniforms 0..n-1 give the periods, n..2n-1 the noise
+            t = np.maximum(eta[:n] * scheme.jitter_std + t_M, ts.T_MIN_FRACTION * t_M)
+            b = eta[n:] * evolved_width(ref_params, scheme.sigma_M, t)
+            b[0] = eta[n] * evolved_width(ref_params, packet.sigma_x0, t[0])
+            ref = loop_reference(np.cos(ref_params.omega * t), b, x0)
+            assert record.periods.tobytes() == t.tobytes()
+        else:
+            b = eta * cf.sigma_step
+            b[0] = eta[0] * cf.sigma_first
+            ref, _ = lfilter([1.0], [1.0, -cf.rho], b, zi=np.array([cf.rho * x0]))
+            assert record.periods is None
+        assert record.samples.tobytes() == ref.tobytes()
 
 
 def traced_peak(call) -> int:
@@ -420,7 +457,7 @@ def memory_coefficients(kind, n, rng):
     if kind == "jittered":  # the chain's rho_i = cos(omega t_i) near tau_M = 0.45
         return np.cos(2 * np.pi * (0.45 + 0.002 * rng.standard_normal(n)))
     a = rng.uniform(-0.95, 0.95, n)
-    a[n // 2] = -1.0  # one step without decay: that chunk falls back to the loop
+    a[n // 2] = -1.0  # one step without decay: the scan falls back to the loop
     if n > 2:
         a[n // 3] = 1.0
     return a
@@ -434,7 +471,7 @@ class TestAr1Scan:
     def test_scalar_matches_lfilter(self, a, n):
         b = np.random.default_rng(n).standard_normal(n)
         ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
-        assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()
+        assert ts.ar1_scan(a, b, 0.7, np.empty_like(b)).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", SCAN_LENGTHS)
     @pytest.mark.parametrize("kind", ("jittered", "unit_steps"))
@@ -442,7 +479,7 @@ class TestAr1Scan:
         rng = np.random.default_rng(n)
         a = memory_coefficients(kind, n, rng)
         b = rng.standard_normal(n)
-        assert ts.ar1_scan(a, b, -0.4).tobytes() == loop_reference(a, b, -0.4).tobytes()
+        assert ts.ar1_scan(a, b, -0.4, np.empty_like(b)).tobytes() == loop_reference(a, b, -0.4).tobytes()
 
     @pytest.mark.parametrize("a", (0.9, -0.951))
     def test_boundary_repair(self, monkeypatch, a):
@@ -460,7 +497,7 @@ class TestAr1Scan:
         n = 300_000
         b = np.random.default_rng(5).standard_normal(n)
         ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
-        assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()
+        assert ts.ar1_scan(a, b, 0.7, np.empty_like(b)).tobytes() == ref.tobytes()
         assert len(repairs) > 10 and max(repairs) < ts.SCAN_CHUNK
 
     def test_repair_rechecks_next_block(self, monkeypatch):
@@ -473,17 +510,18 @@ class TestAr1Scan:
         b = np.random.default_rng(8).standard_normal(100 * k)
         b[3 * k : 4 * k] = 0.0
         ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
-        assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()
+        assert ts.ar1_scan(a, b, 0.7, np.empty_like(b)).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("a", (0.31, -0.951, 0.992))
     def test_lanes_with_tail_and_just_over_a_chunk(self, a):
-        # whole lanes plus a partial tail; then one full chunk and a second
-        # chunk of a partial lane, which falls back to the loop
+        # whole lanes plus a partial tail, first a few and then more than a
+        # chunk's worth in one call; TestMultiChunkChain covers the carry
+        # from chunk to chunk
         k = ts._scan_warmup(a)
         for n in (40 * k + k // 2, ts.SCAN_CHUNK + k // 2):
             b = np.random.default_rng(n).standard_normal(n)
             ref, _ = lfilter([1.0], [1.0, -a], b, zi=np.array([a * 0.7]))
-            assert ts.ar1_scan(a, b, 0.7).tobytes() == ref.tobytes()
+            assert ts.ar1_scan(a, b, 0.7, np.empty_like(b)).tobytes() == ref.tobytes()
 
     def test_last_lane_repair_reaches_through_tail(self, monkeypatch, loop_calls):
         # zero inputs and state up to lane L-3's last sample, which is 1: only
@@ -495,19 +533,19 @@ class TestAr1Scan:
         b = np.zeros(lanes * k + tail)
         b[(lanes - 2) * k - 1] = 1.0
         ref = loop_reference(np.full(b.size, a), b, 0.0)
-        assert ts.ar1_scan(a, b, 0.0).tobytes() == ref.tobytes()
+        assert ts.ar1_scan(a, b, 0.0, np.empty_like(b)).tobytes() == ref.tobytes()
         assert loop_calls == [k, tail] and ref[-1] != 0.0
 
     def test_too_few_lanes_take_the_loop(self, loop_calls):
         a, k = 0.9, ts._scan_warmup(0.9)
         b = np.random.default_rng(3).standard_normal(ts.SCAN_MIN_LANES * k)
-        ts.ar1_scan(a, b[:-1], 0.7)  # one lane short
+        ts.ar1_scan(a, b[:-1], 0.7, np.empty(b.size - 1))  # one lane short
         assert loop_calls == [b.size - 1]
         loop_calls.clear()
-        ts.ar1_scan(a, b, 0.7)  # enough lanes: the loop sees at most repairs
+        ts.ar1_scan(a, b, 0.7, np.empty_like(b))  # enough lanes: the loop sees at most repairs
         assert all(size <= k for size in loop_calls)
         loop_calls.clear()
         b = np.random.default_rng(4).standard_normal(ts.SCAN_CHUNK)
         ref, _ = lfilter([1.0], [1.0, -0.9999], b, zi=np.array([0.9999 * 0.7]))
-        assert ts.ar1_scan(0.9999, b, 0.7).tobytes() == ref.tobytes()
+        assert ts.ar1_scan(0.9999, b, 0.7, np.empty_like(b)).tobytes() == ref.tobytes()
         assert loop_calls == [ts.SCAN_LOOP_PIECE] * (ts.SCAN_CHUNK // ts.SCAN_LOOP_PIECE)

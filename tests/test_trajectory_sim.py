@@ -313,24 +313,19 @@ class TestMultiChunkChain:
         assert self.digest(record.periods) == "476b7fdc3d0149095020c3375c0cca6f6bb3fb6e415d6cf79dbadd88f1e473a2"
         self.assert_stats_match_record(stats, record.samples)
 
-    @staticmethod
-    def length(kind, rho):
-        """A chunk plus half a lane (the second chunk takes the loop), or
-        three chunks plus 7 steps."""
-        return ts.SCAN_CHUNK + ts._scan_warmup(rho) // 2 if kind == "chunk_half_lane" else 3 * ts.SCAN_CHUNK + 7
-
     @pytest.mark.parametrize("kind", ["chunk_half_lane", "three_chunks_7"])
     @pytest.mark.parametrize("x0", [0.0, 1.3])
     @pytest.mark.parametrize("tau", [0.2, 0.45])
     @pytest.mark.parametrize("jitter", [0.0, 0.05])
     def test_matches_whole_length_reference(self, ref_params, tau, x0, jitter, kind):
         # the noise from one whole-length draw, then the recurrence by
-        # lfilter (plain) or step by step in Python floats (jittered)
+        # lfilter (plain) or step by step in Python floats (jittered); a
+        # chunk plus half a lane ends on a chunk that takes the loop
         t_M = tau * ref_params.period
         scheme = MeasurementScheme(t_M=t_M, sigma_M=0.5, jitter_std=jitter * t_M)
         packet = WavePacket(x0=x0, sigma_x0=ref_params.sigma_gs)
         cf = ChainClosedForm.from_setup(ref_params, scheme, packet)
-        n = self.length(kind, cf.rho)
+        n = ts.SCAN_CHUNK + ts._scan_warmup(cf.rho) // 2 if kind == "chunk_half_lane" else 3 * ts.SCAN_CHUNK + 7
         record, _ = run_chain(ChainConfig(ref_params, scheme, packet, n, seed=17))
         u = np.random.Generator(np.random.PCG64(17)).random(2 * n if jitter else n)
         eta = ndtri(np.maximum(u, 1e-300))

@@ -77,8 +77,8 @@ class ChainClosedForm:
         scheme: MeasurementScheme,
         initial: WavePacket,
     ) -> "ChainClosedForm":
-        """Raises DomainError when the setup's scales overflow float arithmetic."""
-        wt = params.omega * scheme.t_M
+        """Raises DomainError when rounding sets omega t_M or the scales overflow floats."""
+        wt = _phase(params.omega * scheme.t_M)
         try:
             return cls(
                 sigma_step=evolved_width(params, scheme.sigma_M, scheme.t_M),
@@ -142,11 +142,19 @@ def limiting_sigma(cf: ChainClosedForm) -> float:
     return cf.sigma_inf
 
 
+def _phase(angle: float) -> float:
+    """angle; DomainError from 2^23 rad, where its float spacing exceeds EPS_RES and
+    so rounding, not the setup, decides |sin(angle)| <= EPS_RES."""
+    if math.ulp(angle) > EPS_RES:
+        raise DomainError(f"omega t_M = {angle!r} rad is set by rounding: its float spacing exceeds {EPS_RES}")
+    return angle
+
+
 def _limit_width(width: float, angle: float, gs: float) -> float:
     """sqrt(width^2 cot^2(angle) + gs^4 / (4 width^2)), the limiting width of
     both forms below. Raises ResonanceError where |sin(angle)| <= EPS_RES and
-    DomainError where the value leaves float range."""
-    s, c = math.sin(angle), math.cos(angle)
+    DomainError where rounding sets the angle or the value leaves float range."""
+    s, c = math.sin(_phase(angle)), math.cos(angle)
     if abs(s) <= EPS_RES:
         raise ResonanceError(f"|sin({angle!r})| <= {EPS_RES}: resonant, the limiting width diverges")
     try:

@@ -7,11 +7,17 @@ accepted for reproducing dimensional setups. Every JSON summary echoes the
 fully resolved configuration (validate.json its --grid-n as well), so a
 run can be repeated exactly from its own output.
 
+Each command builds its setup once and writes its files before it prints;
+simulate computes every statistic first and creates no file until its
+outcomes and their running std are known finite.
+
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
 file or QHO_SEED; a usage error; an --out that cannot be written; jitter
-with the grid engine; weak collapse with the chain engine, or in analyze or
-sweep, which have no closed form for it), 4 resonance, a setup whose numbers
+with the grid engine, or in analyze, sweep or validate, which model
+unjittered chains; weak collapse with the chain engine, or in analyze or
+sweep, which have no closed form for it), 4 resonance, a t_M so long that
+rounding sets the phase omega t_M (from 2^23 rad), a setup whose numbers
 leave float range, a grid setup whose default grid is too coarse or too
 short for its packets, or a weak grid setup whose initial packet is not
 wider than the instrument at the first measurement.
@@ -88,20 +94,11 @@ class RunConfig:
     collapse: str = field(default="replace", metadata={"choices": ("replace", "weak")})
     out: str = "qho_out"
 
-    def oscillator(self) -> OscillatorParams:
-        return OscillatorParams(mass=self.mass, omega=self.omega, hbar=self.hbar)
-
-    def scheme(self) -> MeasurementScheme:
-        return MeasurementScheme(t_M=self.t_m, sigma_M=self.sigma_m, jitter_std=self.jitter_std)
-
-    def packet(self) -> WavePacket:
-        return WavePacket(x0=self.x0, sigma_x0=self.sigma_x0)
-
     def chain_config(self) -> ChainConfig:
         return ChainConfig(
-            params=self.oscillator(),
-            scheme=self.scheme(),
-            initial=self.packet(),
+            params=OscillatorParams(mass=self.mass, omega=self.omega, hbar=self.hbar),
+            scheme=MeasurementScheme(t_M=self.t_m, sigma_M=self.sigma_m, jitter_std=self.jitter_std),
+            initial=WavePacket(x0=self.x0, sigma_x0=self.sigma_x0),
             n_measurements=self.n,
             seed=self.seed,
         )
@@ -210,7 +207,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     cfg = RunConfig(**values)
     try:
-        params = cfg.oscillator()
+        params = OscillatorParams(mass=cfg.mass, omega=cfg.omega, hbar=cfg.hbar)
         cfg.t_m, cfg.tau_m = _pick_pair(values, "t_m", "tau_m", params.period)
         cfg.sigma_m, cfg.varsigma_m = _pick_pair(values, "sigma_m", "varsigma_m", params.sigma_gs)
         if cfg.sigma_x0 is None:
@@ -221,8 +218,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(kind: str, header: str, chunks):
+    """A CSV file as chunks of bytes: its version line, its header, then chunks."""
+    yield f"# qho-measure {kind} {CSV_VERSION}\n{header}\n".encode()
+    yield from chunks
+
+
+def _refuse_jitter(cfg: RunConfig, command: str) -> None:
+    if cfg.jitter_std != 0.0:
+        raise ConfigError(f"--jitter-std: {command} models unjittered chains only")
 
 
 def _fmt(v) -> str:
@@ -236,10 +244,12 @@ def _fmt(v) -> str:
 def cmd_analyze(cfg: RunConfig) -> int:
     if cfg.collapse == "weak":
         raise ConfigError("--collapse weak: analyze has closed forms for replace chains only")
-    params = cfg.oscillator()
-    cf = ChainClosedForm.from_setup(params, cfg.scheme(), cfg.packet())
+    _refuse_jitter(cfg, "analyze")
+    chain_cfg = cfg.chain_config()
+    params, scheme = chain_cfg.params, chain_cfg.scheme
+    cf = ChainClosedForm.from_setup(params, scheme, chain_cfg.initial)
     sigma_inf = limiting_sigma(cf)  # raises ResonanceError at resonance
-    sigma_inf_simplified = limiting_sigma_simplified(params, cfg.scheme())
+    sigma_inf_simplified = limiting_sigma_simplified(params, scheme)
     varsigma_inf = nondim_limit(NondimPoint(cfg.varsigma_m, cfg.tau_m))
     try:
         opt = optimal_precision(cfg.tau_m)
@@ -256,11 +266,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "period": params.period,
         "optimal_varsigma_m": opt,
     }
-    for key, val in results.items():
-        print(f"{key} = {val}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "analyze.json", {"config": asdict(cfg), "results": results})
+    (out / "analyze.json").write_text(_json({"config": asdict(cfg), "results": results}))
+    for key, val in results.items():
+        print(f"{key} = {val}")
     return EXIT_OK
 
 
@@ -279,101 +289,82 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.engine == "chain" and cfg.collapse == "weak":
         raise ConfigError("--collapse weak needs --engine grid: the chain engine samples replace chains only")
     chain_cfg = cfg.chain_config()
-    params = cfg.oscillator()
-    cf = ChainClosedForm.from_setup(params, cfg.scheme(), cfg.packet())
+    cf = ChainClosedForm.from_setup(chain_cfg.params, chain_cfg.scheme, chain_cfg.initial)
     sigma_inf = cf.sigma_inf
-
     if cfg.engine == "grid":
         record = run_chain_grid(chain_cfg, mode=CollapseMode(cfg.collapse))
-        stats = RunningStats.for_scale(sigma_inf if sigma_inf else 10 * params.sigma_gs)
+        stats = RunningStats.for_scale(sigma_inf if sigma_inf else 10 * chain_cfg.params.sigma_gs)
         stats.push_array(record.samples)
     else:
         record, stats = run_chain(chain_cfg)
-
     samples, periods = record.samples, record.periods
     if not (np.isfinite(samples).all() and (periods is None or np.isfinite(periods).all())):
         raise DomainError("the chain overflowed to non-finite outcomes; no files written")
+
+    # every statistic is computed before a file is created
+    running = [(k, float(np.std(samples[:k])) if k > 1 else None) for k in _running_std_checkpoints(len(samples))]
+    for k, std in running:  # finite outcomes whose squares overflow
+        if std is not None and not math.isfinite(std):
+            raise DomainError(f"the std of the first {k} outcomes overflows; no files written")
+    sample_std = running[-1][1]
+    relative_error = se = z = ks = thin_k = None
+    if sample_std is not None and sigma_inf is not None:
+        relative_error = abs(sample_std / sigma_inf - 1.0)
+        if len(samples) >= 100:
+            thin_k = thinning_interval(cf.rho)
+            if len(samples[::thin_k]) >= 100:
+                ks = normality_statistic(samples[::thin_k], sigma_inf)
+        # AR(1) standard error of the sample std, for chains that are
+        # stationary at sigma_inf: not jittered ones, nor weak (grid) chains
+        if cfg.jitter_std == 0.0 and cfg.collapse != "weak":
+            n_eff = len(samples) * (1.0 - cf.rho**2) / (1.0 + cf.rho**2)
+            se = sigma_inf / math.sqrt(2.0 * n_eff)
+            z = (sample_std - sigma_inf) / se
+    summary = {
+        "config": asdict(cfg),
+        "n_samples": int(len(samples)),
+        "sample_std": sample_std,
+        "sample_std_se": se,
+        "sample_std_z": z,
+        "sigma_inf_predicted": sigma_inf,
+        "relative_error": relative_error,
+        "ks_statistic": ks,
+        "thinning_interval": thin_k,
+        "histogram_underflow": int(stats.counts[0]),
+        "histogram_overflow": int(stats.counts[-1]),
+    }
+    edges, counts = stats.edges, stats.counts[1:-1]
+    density = counts / (stats.count * np.diff(edges))
+    analytic = Gaussian(0.0, sigma_inf).pdf(0.5 * (edges[:-1] + edges[1:])) if sigma_inf else [None] * len(counts)
+    step = CSV_ROWS_PER_WRITE
+    files = {
+        "samples.csv": _csv("samples", "index,x_M,t_eff", (
+            sample_rows(lo + 1, samples[lo:lo + step], cfg.t_m if periods is None else periods[lo:lo + step])
+            for lo in range(0, len(samples), step)
+        )),
+        "running_std.csv": _csv("running_std", "n,std", (f"{k},{_fmt(std)}\n".encode() for k, std in running)),
+        "histogram.csv": _csv("histogram", "bin_lo,bin_hi,count,density,analytic", (
+            f"{float(lo)!r},{float(hi)!r},{c},{float(d)!r},{_fmt(a)}\n".encode()
+            for lo, hi, c, d, a in zip(edges, edges[1:], counts, density, analytic)
+        )),
+        "summary.json": [_json(summary).encode()],
+    }
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        path = out / "samples.csv"
-        with path.open("wb") as f:
-            written.append(path)
-            f.write(f"# qho-measure samples {CSV_VERSION}\nindex,x_M,t_eff\n".encode())
-            for lo in range(0, len(samples), CSV_ROWS_PER_WRITE):
-                hi = lo + CSV_ROWS_PER_WRITE
-                t_eff = cfg.t_m if periods is None else periods[lo:hi]
-                f.write(sample_rows(lo + 1, samples[lo:hi], t_eff))
-
-        path = out / "running_std.csv"
-        with path.open("w") as f:
-            written.append(path)
-            f.write(f"# qho-measure running_std {CSV_VERSION}\n")
-            f.write("n,std\n")
-            for k in _running_std_checkpoints(len(samples)):
-                std = float(np.std(samples[:k])) if k > 1 else None
-                # finite outcomes whose squares overflow; the last row is sample_std
-                if std is not None and not math.isfinite(std):
-                    raise DomainError(f"the std of the first {k} outcomes overflows; no files written")
-                f.write(f"{k},{_fmt(std)}\n")
-
-        path = out / "histogram.csv"
-        with path.open("w") as f:
-            written.append(path)
-            f.write(f"# qho-measure histogram {CSV_VERSION}\n")
-            f.write("bin_lo,bin_hi,count,density,analytic\n")
-            edges, counts = stats.edges, stats.counts[1:-1]
-            widths = np.diff(edges)
-            analytic = Gaussian(0.0, sigma_inf).pdf(0.5 * (edges[:-1] + edges[1:])) if sigma_inf else None
-            for j in range(len(counts)):
-                density = counts[j] / (stats.count * widths[j])
-                a = _fmt(analytic[j]) if analytic is not None else ""
-                f.write(f"{float(edges[j])!r},{float(edges[j + 1])!r},{counts[j]},{float(density)!r},{a}\n")
-
-        sample_std = float(np.std(samples)) if len(samples) > 1 else None
-        ks = None
-        thin_k = None
-        if len(samples) >= 100 and sigma_inf is not None:
-            thin_k = thinning_interval(cf.rho)
-            thinned = samples[::thin_k]
-            if len(thinned) >= 100:
-                ks = normality_statistic(thinned, sigma_inf)
-        # AR(1) standard error of the sample std, for chains that are
-        # stationary at sigma_inf: not jittered ones, nor weak (grid) chains
-        se = z = None
-        if sample_std is not None and sigma_inf is not None and cfg.jitter_std == 0.0 and cfg.collapse != "weak":
-            n_eff = len(samples) * (1.0 - cf.rho**2) / (1.0 + cf.rho**2)
-            se = sigma_inf / math.sqrt(2.0 * n_eff)
-            z = (sample_std - sigma_inf) / se
-        summary = {
-            "config": asdict(cfg),
-            "n_samples": int(len(samples)),
-            "sample_std": sample_std,
-            "sample_std_se": se,
-            "sample_std_z": z,
-            "sigma_inf_predicted": sigma_inf,
-            "relative_error": (
-                abs(sample_std / sigma_inf - 1.0)
-                if sample_std is not None and sigma_inf is not None
-                else None
-            ),
-            "ks_statistic": ks,
-            "thinning_interval": thin_k,
-            "histogram_underflow": int(stats.counts[0]),
-            "histogram_overflow": int(stats.counts[-1]),
-        }
-        path = out / "summary.json"
-        written.append(path)
-        _write_json(path, summary)
+        for name, chunks in files.items():
+            with (out / name).open("wb") as f:
+                written.append(out / name)
+                f.writelines(chunks)
     except Exception:
-        for p in written:
+        for path in written:  # no partial set of outputs is left behind
             with contextlib.suppress(OSError):
-                p.unlink()
+                path.unlink()
         raise
     print(f"wrote {len(written)} files to {out}")
-    if sigma_inf is not None and sample_std is not None:
+    if relative_error is not None:  # a sample std and a sigma_inf
         print(f"sample std = {sample_std:.6g}, sigma_inf = {sigma_inf:.6g}")
     return EXIT_OK
 
@@ -392,9 +383,20 @@ def _axis(flag: str, triple, log: bool) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _sweep_row(vs: float, tau: float) -> bytes:
+    try:
+        value, flag = nondim_limit(NondimPoint(vs, tau)), "ok"
+    except ResonanceError:
+        value, flag = None, "resonant"
+    except (DomainError, ValueError):
+        value, flag = None, "domain"
+    return f"{vs!r},{tau!r},{_fmt(value)},{flag}\n".encode()
+
+
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.collapse == "weak":
         raise ConfigError("--collapse weak: sweep has closed forms for replace chains only")
+    _refuse_jitter(cfg, "sweep")
     if args.sweep_varsigma is None and args.sweep_tau is None:
         raise ConfigError("sweep needs --sweep-varsigma and/or --sweep-tau")
     vs_axis = (
@@ -410,19 +412,9 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
-    with path.open("w") as f:
-        f.write(f"# qho-measure sweep {CSV_VERSION}\n")
-        f.write("varsigma_M,tau_M,varsigma_inf,flag\n")
-        for tau in tau_axis:
-            for vs in vs_axis:
-                try:
-                    value = nondim_limit(NondimPoint(float(vs), float(tau)))
-                    flag = "ok"
-                except ResonanceError:
-                    value, flag = None, "resonant"
-                except (DomainError, ValueError):
-                    value, flag = None, "domain"
-                f.write(f"{float(vs)!r},{float(tau)!r},{_fmt(value)},{flag}\n")
+    with path.open("wb") as f:  # row by row: memory does not grow with the axes
+        rows = (_sweep_row(float(vs), float(tau)) for tau in tau_axis for vs in vs_axis)
+        f.writelines(_csv("sweep", "varsigma_M,tau_M,varsigma_inf,flag", rows))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -430,6 +422,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- validate
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _refuse_jitter(cfg, "validate")
     chain_cfg = cfg.chain_config()
     n_points = _parse(_integer, "--grid-n", args.grid_n)
     try:
@@ -437,6 +430,10 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"--grid-n: {exc}") from exc
     results = run_battery(chain_cfg, grid)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    checks = [r.as_dict() for r in results]
+    (out / "validate.json").write_text(_json({"config": asdict(cfg), "grid_n": n_points, "checks": checks}))
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         if r.measured is None:  # the check crashed
@@ -445,12 +442,6 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
             extra = f" ({r.detail})" if r.detail else ""
             line = f"measured {r.measured:.3e} vs tolerance {r.tolerance:.3e}{extra}"
         print(f"{status} {r.name}: {line}")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "validate.json",
-        {"config": asdict(cfg), "grid_n": n_points, "checks": [r.as_dict() for r in results]},
-    )
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 

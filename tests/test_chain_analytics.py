@@ -41,6 +41,22 @@ class TestFromSetup:
         assert abs(cf.rho - math.cos(ref_params.omega * t)) < 1e-15
         assert abs(cf.sin_abs - abs(math.sin(ref_params.omega * t))) < 1e-15
 
+    @pytest.mark.parametrize("t_M,refused", [(2.0**23 - 1, False), (2.0**23, True), (1e300, True)])
+    def test_angle_set_by_rounding_refused(self, t_M, refused):
+        # from 2^23 rad the float spacing of omega t_M exceeds EPS_RES, so
+        # rounding decides whether |sin(omega t_M)| <= EPS_RES
+        params = OscillatorParams(mass=1.0, omega=1.0, hbar=1.0)
+        scheme = MeasurementScheme(t_M=t_M, sigma_M=0.5)
+        for closed_form in (
+            lambda: limiting_sigma(ChainClosedForm.from_setup(params, scheme, WavePacket(0.0, 0.5))),
+            lambda: limiting_sigma_simplified(params, scheme),
+        ):
+            if refused:
+                with pytest.raises(DomainError, match="rounding"):
+                    closed_form()
+            else:
+                assert math.isfinite(closed_form())
+
 
 class TestDensityBeforeNth:
     def test_first_measurement(self):
@@ -166,6 +182,12 @@ class TestNondimLimit:
     def test_resonance_raises(self):
         with pytest.raises(ResonanceError):
             nondim_limit(NondimPoint(0.5, 0.5))
+
+    def test_angle_set_by_rounding_raises(self):
+        # 2 pi tau_M passes 2^23 rad between these two (non-resonant) points
+        assert math.isfinite(nondim_limit(NondimPoint(0.5, 1.3e6 + 0.2)))
+        with pytest.raises(DomainError, match="rounding"):
+            nondim_limit(NondimPoint(0.5, 1.4e6 + 0.2))
 
     @pytest.mark.parametrize("varsigma", [1e-200, 1e-160, 1e200])
     def test_outside_float_range_raises(self, ref_params, varsigma):

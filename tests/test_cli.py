@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -111,6 +112,27 @@ class TestSimulate:
         references = json.loads(REFERENCE_SHA256.read_text())
         assert hashlib.sha256(lines.encode()).hexdigest() == references[task][str(seed)]
 
+    # the grid engine's CSV bytes at seed 3, recorded with numpy 2.4.6
+    GRID_SHA256 = {
+        ("--n", "200"): {
+            "samples.csv": "2184a2e68ae9782731dc80533df48ce6c3a75f98aee46d4966aeba525182b47a",
+            "running_std.csv": "8423a9bcb1bad85b69c624494bb559ecddbf3676d4164b8e89c42c4d627976d7",
+            "histogram.csv": "6ec09193d010655c683fd25680777c92ba33c4c974daf0f91af38c23621d702c",
+        },
+        ("--collapse", "weak", "--n", "8"): {
+            "samples.csv": "891a38c575dee24958d7a1319307e0b1f47ac1fadd46bbc68dd6afa294cd1ce7",
+            "running_std.csv": "4770cef51a75a0b7d882b3cd9064e9c30444a52e717fcfef42776ef04fff71c6",
+            "histogram.csv": "44e1dba6ac86971aefa107939926665ca510acbe563552ac4dd0d1864b71476b",
+        },
+    }
+
+    @pytest.mark.parametrize("argv", list(GRID_SHA256), ids=["replace_n200", "weak_n8"])
+    def test_grid_outputs_match_recorded_sha256(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert main(["simulate", "--engine", "grid", *argv, "--seed", "3", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.GRID_SHA256[argv]}
+        assert digests == self.GRID_SHA256[argv]
+
     def test_rerun_from_echoed_config(self, tmp_path):
         first = tmp_path / "first"
         assert main(["simulate", "--n", "3000", "--seed", "17", "--out", str(first)]) == 0
@@ -153,6 +175,12 @@ class TestSimulate:
         assert summary["sample_std_se"] is None and summary["sample_std_z"] is None
         _, rows = read_csv(out / "running_std.csv")
         assert rows == [["1", ""]]
+
+    def test_overflow_creates_no_output_directory(self, tmp_path):
+        # the running std is known finite before --out is created
+        out = tmp_path / "o"
+        assert main(["simulate", "--x0", "1e300", "--n", "5", "--out", str(out)]) == 4
+        assert not out.exists()
 
     def test_jittered_run(self, tmp_path):
         out = tmp_path / "o"
@@ -233,6 +261,13 @@ class TestSweep:
         assert all(r[2] == "" for r in rows if r[3] == "domain")
         assert all(math.isfinite(float(field)) for r in rows for field in r[:3] if field)
 
+    def test_tau_whose_angle_is_set_by_rounding_flagged_domain(self, tmp_path):
+        # 2 pi tau_M passes 2^23 rad, where its float spacing exceeds EPS_RES
+        out = tmp_path / "o"
+        assert main(["sweep", "--sweep-tau", "1e6", "1e8", "3", "--log-tau", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [r[3] for r in rows] == ["resonant", "domain", "domain"]
+
     def test_missing_axes_is_config_error(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == 3
 
@@ -280,6 +315,26 @@ class TestValidate:
             if c["measured"] is not None:
                 assert c["margin"] == c["measured"] / c["tolerance"]
                 assert (c["margin"] <= 1.0) == c["passed"]
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv,record", [
+    (["analyze"], "analyze.json"),
+    (["simulate", "--n", "10"], "summary.json"),
+    (["validate", "--n", "2000"], "validate.json"),
+], ids=["analyze", "simulate", "validate"])
+def test_closed_stdout_keeps_the_json(tmp_path, monkeypatch, argv, record):
+    # the files are written before anything is printed
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    out = tmp_path / "o"
+    main([*argv, "--out", str(out)])
+    assert strict_json(out / record)["config"]["out"] == str(out)
 
 
 # Bad inputs: (argv, config-file object or None, QHO_SEED or None, exit code).
@@ -345,6 +400,13 @@ BAD_INPUTS = [
     # finite outcomes whose squares overflow in the sample std
     (["simulate", "--sigma-m", "1e-160", "--n", "5"], None, None, 4),
     (["simulate", "--x0", "1e300", "--n", "5"], None, None, 4),
+    # the closed forms and the battery's limit are those of unjittered chains
+    (["analyze", "--jitter-std", "0.5"], None, None, 3),
+    (["sweep", "--sweep-tau", "0.1", "0.4", "3", "--jitter-std", "0.5"], None, None, 3),
+    (["validate", "--jitter-std", "1.0", "--n", "100000"], None, None, 3),
+    # omega t_M so large that rounding sets its phase, and with it rho
+    (["analyze", "--t-m", "1e300"], None, None, 4),
+    (["simulate", "--n", "5", "--t-m", "1e300"], None, None, 4),
 ]
 
 
@@ -398,10 +460,13 @@ def test_each_field_is_flag_and_config_key(tmp_path, f):
         assert (tmp_path / "key" / "analyze.json").exists()
         return
     (good_flag, good_key), (bad_flag, bad_key) = field_values(f)
-    # analyze refuses a weak collapse, which only a grid simulate samples
+    # analyze refuses a weak collapse, which only a grid simulate samples,
+    # and jitter, which only a chain simulate samples
     command, record = ["analyze"], "analyze.json"
     if f.name == "collapse":
         command, record = ["simulate", "--engine", "grid", "--n", "2"], "summary.json"
+    if f.name == "jitter_std":
+        command, record = ["simulate", "--n", "2"], "summary.json"
     assert run_cli(tmp_path / "flag", [*command, flag, good_flag]) == 0
     assert run_cli(tmp_path / "key", command, {f.name: good_key}) == 0
     for form in ("flag", "key"):

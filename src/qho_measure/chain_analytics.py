@@ -92,8 +92,9 @@ class ChainClosedForm:
     @property
     def sigma_inf(self) -> float | None:
         """Limiting outcome width |sigma(t_M)/sin(omega t_M)|; None at
-        resonance (|sin(omega t_M)| <= EPS_RES), where the chain diverges."""
-        return self.sigma_step / self.sin_abs if self.sin_abs > EPS_RES else None
+        resonance (|sin(omega t_M)| <= EPS_RES, or rho rounded to +-1, where
+        1 - rho^2 is 0 in floats), where the chain diverges."""
+        return self.sigma_step / self.sin_abs if self.sin_abs > EPS_RES and abs(self.rho) != 1.0 else None
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def limiting_sigma(cf: ChainClosedForm) -> float:
     raises ResonanceError at resonance."""
     if cf.sigma_inf is None:
         raise ResonanceError(
-            f"|sin(omega t_M)| = {cf.sin_abs:.3e} <= {EPS_RES}: chain variance diverges"
+            f"|sin(omega t_M)| = {cf.sin_abs:.3e}, rho = {cf.rho!r}: resonant, the chain variance diverges"
         )
     return cf.sigma_inf
 
@@ -208,7 +209,9 @@ def ensemble_variance_partial(cf: ChainClosedForm, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     if cf.sigma_inf is None:
-        raise ResonanceError(f"|sin(omega t_M)| = {cf.sin_abs:.3e} <= {EPS_RES}: ensemble variance diverges")
+        raise ResonanceError(
+            f"|sin(omega t_M)| = {cf.sin_abs:.3e}, rho = {cf.rho!r}: resonant, the ensemble variance diverges"
+        )
     q = cf.rho * cf.rho
     gn = _geometric_sum(q, n)  # (1 - q^n)/(1 - q)
     total = cf.sigma_step**2 * (n - gn) / (1.0 - q) + cf.sigma_first**2 * gn

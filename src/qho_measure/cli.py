@@ -9,14 +9,16 @@ run can be repeated exactly from its own output.
 
 Each command builds its setup once and writes its files before it prints;
 simulate computes every statistic first and creates no file until its
-outcomes and their running std are known finite.
+outcomes and their running std are known finite. A stdout closed by its
+reader loses the printed lines only: the exit code is the run's.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
 file or QHO_SEED; a usage error; an --out that cannot be written; jitter
 with the grid engine, or in analyze, sweep or validate, which model
-unjittered chains; weak collapse with the chain engine, or in analyze or
-sweep, which have no closed form for it), 4 resonance, a t_M so long that
+unjittered chains; weak collapse with the chain engine, or in analyze,
+sweep or validate, which model replace chains), 4 resonance (including a
+rho = cos(omega t_M) that rounds to +-1), a t_M so long that
 rounding sets the phase omega t_M (from 2^23 rad), a setup whose numbers
 leave float range, a grid setup whose default grid is too coarse or too
 short for its packets, or a weak grid setup whose initial packet is not
@@ -228,9 +230,19 @@ def _csv(kind: str, header: str, chunks):
     yield from chunks
 
 
-def _refuse_jitter(cfg: RunConfig, command: str) -> None:
+def _refuse_unmodelled(cfg: RunConfig, command: str) -> None:
+    """ConfigError for a weak collapse or jitter: command models unjittered replace chains only."""
+    if cfg.collapse == "weak":
+        raise ConfigError(f"--collapse weak: {command} models replace chains only")
     if cfg.jitter_std != 0.0:
         raise ConfigError(f"--jitter-std: {command} models unjittered chains only")
+
+
+def _say(text: str) -> None:
+    """Print text, after the outputs are written: a stdout whose reader has
+    gone away loses the text, not the run or its exit code."""
+    with contextlib.suppress(BrokenPipeError):
+        print(text, flush=True)
 
 
 def _fmt(v) -> str:
@@ -242,9 +254,7 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    if cfg.collapse == "weak":
-        raise ConfigError("--collapse weak: analyze has closed forms for replace chains only")
-    _refuse_jitter(cfg, "analyze")
+    _refuse_unmodelled(cfg, "analyze")
     chain_cfg = cfg.chain_config()
     params, scheme = chain_cfg.params, chain_cfg.scheme
     cf = ChainClosedForm.from_setup(params, scheme, chain_cfg.initial)
@@ -270,7 +280,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "analyze.json").write_text(_json({"config": asdict(cfg), "results": results}))
     for key, val in results.items():
-        print(f"{key} = {val}")
+        _say(f"{key} = {val}")
     return EXIT_OK
 
 
@@ -363,9 +373,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             with contextlib.suppress(OSError):
                 path.unlink()
         raise
-    print(f"wrote {len(written)} files to {out}")
+    _say(f"wrote {len(written)} files to {out}")
     if relative_error is not None:  # a sample std and a sigma_inf
-        print(f"sample std = {sample_std:.6g}, sigma_inf = {sigma_inf:.6g}")
+        _say(f"sample std = {sample_std:.6g}, sigma_inf = {sigma_inf:.6g}")
     return EXIT_OK
 
 
@@ -394,9 +404,7 @@ def _sweep_row(vs: float, tau: float) -> bytes:
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if cfg.collapse == "weak":
-        raise ConfigError("--collapse weak: sweep has closed forms for replace chains only")
-    _refuse_jitter(cfg, "sweep")
+    _refuse_unmodelled(cfg, "sweep")
     if args.sweep_varsigma is None and args.sweep_tau is None:
         raise ConfigError("sweep needs --sweep-varsigma and/or --sweep-tau")
     vs_axis = (
@@ -415,14 +423,14 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     with path.open("wb") as f:  # row by row: memory does not grow with the axes
         rows = (_sweep_row(float(vs), float(tau)) for tau in tau_axis for vs in vs_axis)
         f.writelines(_csv("sweep", "varsigma_M,tau_M,varsigma_inf,flag", rows))
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
     return EXIT_OK
 
 
 # --------------------------------------------------------------- validate
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _refuse_jitter(cfg, "validate")
+    _refuse_unmodelled(cfg, "validate")
     chain_cfg = cfg.chain_config()
     n_points = _parse(_integer, "--grid-n", args.grid_n)
     try:
@@ -441,7 +449,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             extra = f" ({r.detail})" if r.detail else ""
             line = f"measured {r.measured:.3e} vs tolerance {r.tolerance:.3e}{extra}"
-        print(f"{status} {r.name}: {line}")
+        _say(f"{status} {r.name}: {line}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 

@@ -19,11 +19,12 @@ RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
 exactly one draw (no rejection loops in the record path). Draws made chunk
 by chunk are bit-identical to one whole-length draw. Ensembles split the
-seed with SeedSequence.spawn.
+seed with SeedSequence.spawn. The transform is Cephes ndtri, scipy's or its
+bit-identical numpy port in cephes (see _special).
 
 Ensembles run their chains on several threads (see run_ensemble): the heavy
-kernels (PCG64 draws, ndtri, the lane scan's row ufuncs, np.histogram)
-release the GIL.
+kernels (PCG64 draws, scipy's ndtri, the lane scan's row ufuncs,
+np.histogram) release the GIL; the port's math.log pass holds it.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ import contextvars
 import itertools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -59,6 +61,11 @@ SCAN_LOOP_PIECE = 1 << 17
 SCAN_WARMUP_MARGIN = 64
 # With fewer lanes side by side, the lane scan is no faster than the loop.
 SCAN_MIN_LANES = 32
+
+# Runs of more values through ndtri or ndtr import scipy.special. For fewer,
+# its import (about 0.3 s) costs more than the numpy ports in cephes add
+# (about 140 ns a value for ndtri, 110 ns for ndtr).
+PORT_MAX_VALUES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -159,13 +166,23 @@ class RunningStats:
         return out
 
 
-def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Inverse-CDF normals into out: one uniform per sample, fully deterministic."""
-    from scipy.special import ndtri  # loaded only by the commands that sample
+def _special(count: int):
+    """The ndtri and ndtr for a run of count values: scipy.special's where it
+    is loaded already or count exceeds PORT_MAX_VALUES, else the ports in
+    cephes. Both give the same bits."""
+    if count > PORT_MAX_VALUES or "scipy.special" in sys.modules:
+        from scipy import special
+        return special
+    from . import cephes
+    return cephes
 
+
+def _standard_normal(rng: np.random.Generator, out: np.ndarray, total: int) -> np.ndarray:
+    """Inverse-CDF normals into out: one uniform per sample, fully
+    deterministic. total, the run's count of normals, picks the backend."""
     rng.random(out=out)
     np.maximum(out, 1e-300, out=out)  # ndtri(0) is -inf
-    return ndtri(out, out=out)
+    return _special(total).ndtri(out, out=out)
 
 
 def _scan_loop(a, b: np.ndarray, y: float) -> np.ndarray:
@@ -269,14 +286,14 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
     # PCG64 draws in chunks give the bits of one draw; the noise follows all
     # n periods, so a second generator moved on by n draws reads it per chunk
     noise_rng = np.random.Generator(np.random.PCG64(seed_seq).advance(n)) if jittered else rng
-    y = float(cfg.initial.x0)
+    y, normals = float(cfg.initial.x0), 2 * n if jittered else n
     for lo in range(0, n, SCAN_CHUNK):
         size = min(SCAN_CHUNK, n - lo)
         part = slice(lo, lo + size) if keep else slice(0, size)
-        b = _standard_normal(noise_rng, noise[:size])
+        b = _standard_normal(noise_rng, noise[:size], normals)
         eta0 = b[0]
         if jittered:
-            t = _standard_normal(rng, periods[part])
+            t = _standard_normal(rng, periods[part], normals)
             t *= scheme.jitter_std
             t += scheme.t_M
             np.maximum(t, T_MIN_FRACTION * scheme.t_M, out=t)
@@ -367,6 +384,8 @@ def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
+    # all the chains' normals pick the backend: above the count, scipy.special loads here for every chain
+    _special(n_chains * cfg.n_measurements * (2 if cfg.scheme.jitter_std else 1))
     results = _map_on_threads(lambda i: _run_chain_seeded(cfg, children[i], keep=False)[1], n_chains)
     pooled = None
     for stats in results:  # a chain left unrun follows a failed one
@@ -400,13 +419,11 @@ def normality_statistic(samples: np.ndarray, sigma_target: float) -> float:
     Callers are responsible for thinning correlated chain output first
     (see thinning_interval); KS on correlated samples is not valid.
     """
-    from scipy.special import ndtr  # loaded only by the commands that test
-
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     if n < 100:
         raise InsufficientSamples(f"need >= 100 samples for KS, got {n}")
-    cdf = ndtr(xs / sigma_target)
+    cdf = _special(n).ndtr(xs / sigma_target)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)

@@ -24,6 +24,7 @@ from qho_measure import (
     optimal_precision,
     povm_parameters,
 )
+from qho_measure.chain_analytics import EPS_RES
 from qho_measure.trajectory_sim import ar1_scan
 from conftest import REF_SIGMA_INF
 
@@ -122,6 +123,24 @@ class TestLimitingSigma:
         assert cf.sigma_inf == limiting_sigma(cf)
         scheme = MeasurementScheme(t_M=0.5 * ref_params.period, sigma_M=0.5)
         assert ChainClosedForm.from_setup(ref_params, scheme, ref_packet).sigma_inf is None
+
+    @pytest.mark.parametrize("tau", [0.5000000008, 1e-9], ids=["rho_minus_1", "rho_plus_1"])
+    def test_rho_rounded_to_one_is_resonant(self, ref_params, ref_packet, tau):
+        # |sin(omega t_M)| is above EPS_RES, but rho rounds to +-1, where
+        # 1 - rho^2 is 0 in floats
+        scheme = MeasurementScheme(t_M=tau * ref_params.period, sigma_M=0.5)
+        cf = ChainClosedForm.from_setup(ref_params, scheme, ref_packet)
+        assert cf.sin_abs > EPS_RES and abs(cf.rho) == 1.0
+        assert cf.sigma_inf is None
+        with pytest.raises(ResonanceError):
+            limiting_sigma(cf)
+        with pytest.raises(ResonanceError):
+            ensemble_variance_partial(cf, 1000)
+
+    @pytest.mark.parametrize("rho", [math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0)])
+    def test_rho_one_ulp_inside_is_not_resonant(self, rho):
+        cf = make_cf(rho=rho)
+        assert cf.sigma_inf == limiting_sigma(cf) == 1.0 / cf.sin_abs
 
     def test_agrees_with_simplified_form(self, rng):
         params = OscillatorParams(1.0, 0.707, 1.0)

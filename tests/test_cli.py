@@ -29,6 +29,15 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
+def csv_digest(out):
+    """SHA-256 over the three CSVs' digests, as perfbench/reference_sha256.json records them."""
+    lines = "".join(
+        f"{name}:{hashlib.sha256((out / name).read_bytes()).hexdigest()}\n"
+        for name in ("samples.csv", "running_std.csv", "histogram.csv")
+    )
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
 def read_csv(path):
     with path.open() as f:
         rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
@@ -105,12 +114,7 @@ class TestSimulate:
         out = tmp_path / "o"
         argv = ["simulate", "--n", "500000", *jitter, "--seed", str(seed), "--out", str(out)]
         assert main(argv) == 0
-        lines = "".join(
-            f"{name}:{hashlib.sha256((out / name).read_bytes()).hexdigest()}\n"
-            for name in ("samples.csv", "running_std.csv", "histogram.csv")
-        )
-        references = json.loads(REFERENCE_SHA256.read_text())
-        assert hashlib.sha256(lines.encode()).hexdigest() == references[task][str(seed)]
+        assert csv_digest(out) == json.loads(REFERENCE_SHA256.read_text())[task][str(seed)]
 
     # the grid engine's CSV bytes at seed 3, recorded with numpy 2.4.6
     GRID_SHA256 = {
@@ -301,6 +305,17 @@ class TestValidate:
         assert "measured error is nan" in chain["detail"]
         assert "measured error is nan" in capsys.readouterr().out
 
+    def test_rho_rounded_to_one_is_resonant(self, tmp_path):
+        # |sin(omega t_M)| ~ 5e-9 > EPS_RES, but rho rounds to -1.0, so that
+        # 1 - rho^2 is 0: the chain checks are resonant, not a division by 0
+        out = tmp_path / "o"
+        assert main(["validate", "--tau-m", "0.5000000008", "--n", "1000", "--out", str(out)]) == 2
+        crashed = {c["name"]: c["detail"] for c in strict_json(out / "validate.json")["checks"] if c["measured"] is None}
+        assert {"chain_vs_sigma_inf", "partial_sum_identity"} <= crashed.keys()
+        for detail in crashed.values():
+            assert "ZeroDivisionError" not in detail
+        assert crashed["partial_sum_identity"].startswith("ResonanceError")
+
     def test_designed_failure_exit_code(self, tmp_path, capsys):
         # a 256-point grid cannot resolve the instrument width
         out = tmp_path / "o"
@@ -324,16 +339,18 @@ class _ClosedStdout(io.TextIOBase):
         raise BrokenPipeError(32, "Broken pipe")
 
 
-@pytest.mark.parametrize("argv,record", [
-    (["analyze"], "analyze.json"),
-    (["simulate", "--n", "10"], "summary.json"),
-    (["validate", "--n", "2000"], "validate.json"),
+@pytest.mark.parametrize("argv,record,code", [
+    (["analyze"], "analyze.json", 0),
+    (["simulate", "--n", "10"], "summary.json", 0),
+    # 2000 samples are too few for chain_vs_sigma_inf's 1%: the battery fails
+    (["validate", "--n", "2000"], "validate.json", 2),
 ], ids=["analyze", "simulate", "validate"])
-def test_closed_stdout_keeps_the_json(tmp_path, monkeypatch, argv, record):
-    # the files are written before anything is printed
+def test_closed_stdout_keeps_the_json(tmp_path, monkeypatch, argv, record, code):
+    # the files are written before anything is printed, and the exit code
+    # is the run's own
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     out = tmp_path / "o"
-    main([*argv, "--out", str(out)])
+    assert main([*argv, "--out", str(out)]) == code
     assert strict_json(out / record)["config"]["out"] == str(out)
 
 
@@ -407,6 +424,11 @@ BAD_INPUTS = [
     # omega t_M so large that rounding sets its phase, and with it rho
     (["analyze", "--t-m", "1e300"], None, None, 4),
     (["simulate", "--n", "5", "--t-m", "1e300"], None, None, 4),
+    # rho rounds to -1 and to +1, while |sin(omega t_M)| > EPS_RES: resonant
+    (["simulate", "--tau-m", "0.5000000008", "--n", "150"], None, None, 4),
+    (["simulate", "--tau-m", "1e-9", "--n", "1000"], None, None, 4),
+    # the battery checks unjittered replace chains
+    (["validate", "--collapse", "weak", "--n", "2000"], None, None, 3),
 ]
 
 
@@ -516,8 +538,14 @@ def loaded_scipy_modules(*argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [(), ("analyze",), ("simulate", "--engine", "grid", "--n", "2")],
-    ids=["import", "analyze", "grid_simulate"],
+    [
+        (),
+        ("analyze",),
+        ("simulate", "--engine", "grid", "--n", "2"),
+        ("simulate", "--n", "1000"),
+        ("validate", "--n", "100000"),
+    ],
+    ids=["import", "analyze", "grid_simulate", "chain_simulate", "validate"],
 )
 def test_no_scipy_loaded(tmp_path, argv):
     if argv:
@@ -525,7 +553,11 @@ def test_no_scipy_loaded(tmp_path, argv):
     assert loaded_scipy_modules(*argv) == []
 
 
-def test_chain_simulate_loads_no_scipy_signal(tmp_path):
-    loaded = loaded_scipy_modules("simulate", "--n", "1000", "--out", str(tmp_path / "o"))
-    assert "scipy.special" in loaded
-    assert not any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in loaded)
+@pytest.mark.parametrize("task,jitter", [("simulate_s", ()), ("simulate_jitter_s", ("--jitter-std", "0.01"))],
+                         ids=["plain", "jitter"])
+def test_fresh_simulate_keeps_the_bytes_without_scipy(tmp_path, task, jitter):
+    # in-process runs find scipy.special loaded by the tests and take it; a
+    # fresh process takes the numpy ports, which must give the same bytes
+    out = tmp_path / "o"
+    assert loaded_scipy_modules("simulate", "--n", "500000", *jitter, "--seed", "0", "--out", str(out)) == []
+    assert csv_digest(out) == json.loads(REFERENCE_SHA256.read_text())[task]["0"]

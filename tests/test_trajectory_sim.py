@@ -1,15 +1,21 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
+import qho_measure
 import qho_measure.trajectory_sim as ts
+from qho_measure import cephes
 from qho_measure import (
     ChainClosedForm,
     ChainConfig,
@@ -361,7 +367,7 @@ class TestChainMemory:
     def test_peak_bytes_per_sample(self, ref_config, ref_scheme, jitter, limit):
         n = 1 << 21
         jitter_std = jitter * ref_scheme.t_M
-        run_chain(ref_config(n=1000, jitter_std=jitter_std))  # imports scipy.special untraced
+        run_chain(ref_config(n=1000, jitter_std=jitter_std))  # warms the chain's code paths untraced
         peak = traced_peak(lambda: run_chain(ref_config(n=n, seed=3, jitter_std=jitter_std)))
         assert peak / n <= limit
 
@@ -370,12 +376,73 @@ class TestChainMemory:
         # one thread, so that the peak does not depend on how chains overlap
         monkeypatch.setattr(ts, "_usable_cpus", lambda: 1)
         jitter_std = jitter * ref_scheme.t_M
-        run_chain(ref_config(n=1000, jitter_std=jitter_std))  # imports scipy.special untraced
+        run_chain(ref_config(n=1000, jitter_std=jitter_std))  # warms the chain's code paths untraced
         short, long = (
             traced_peak(lambda: run_ensemble(ref_config(n=n, seed=3, jitter_std=jitter_std), n_chains=2))
             for n in (1 << 20, 1 << 22)
         )
         assert abs(long - short) <= 1 << 20
+
+
+class TestPortMemory:
+    """Scratch of the ndtri port: per chunk, whatever the chain's length."""
+
+    def test_one_chunk(self):
+        # measured 32.6 bytes per value: the branch masks, the central
+        # branch's arrays and the tail's tolist
+        y = np.maximum(np.random.Generator(np.random.PCG64(3)).random(ts.SCAN_CHUNK), 1e-300)
+        assert traced_peak(lambda: cephes.ndtri(y, out=y)) <= 36 * ts.SCAN_CHUNK
+
+    def test_chain_peak_does_not_grow_with_n(self, monkeypatch, ref_config):
+        # with scipy.special not loaded, a chain of up to PORT_MAX_VALUES
+        # normals takes the port, chunk by chunk
+        monkeypatch.delitem(sys.modules, "scipy.special")
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 1)
+        sizes, port = [], cephes.ndtri
+        monkeypatch.setattr(cephes, "ndtri", lambda y, out: sizes.append(y.size) or port(y, out))
+        short, long = (
+            traced_peak(lambda: run_ensemble(ref_config(n=n, seed=3), n_chains=1))
+            for n in (2 * ts.SCAN_CHUNK, 3 * ts.SCAN_CHUNK)
+        )
+        assert sizes == [ts.SCAN_CHUNK] * 5
+        assert abs(long - short) <= 1 << 20
+
+
+# run in a fresh interpreter, where scipy.special is not loaded until a run
+# of more than PORT_MAX_VALUES (lowered to 1000) values loads it
+FRESH_ENSEMBLES = """
+import json, sys
+from qho_measure import ChainConfig, MeasurementScheme, OscillatorParams, WavePacket
+import qho_measure.trajectory_sim as ts
+ts.PORT_MAX_VALUES = 1000
+p = OscillatorParams(1.0, 0.707, 1.0)
+loaded = []
+for n, chains, jitter in ((500, 2, 0.0), (250, 2, 0.01), (501, 2, 0.0)):
+    scheme = MeasurementScheme(0.2 * p.period, 0.5, jitter)
+    ts.run_ensemble(ChainConfig(p, scheme, WavePacket(0.0, p.sigma_gs), n, 1), chains)
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+class TestBackendChooser:
+    def test_ports_up_to_the_count(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.special")
+        assert ts._special(ts.PORT_MAX_VALUES) is cephes
+        assert ts._special(ts.PORT_MAX_VALUES + 1) is special
+
+    def test_scipy_once_loaded(self):
+        assert ts._special(1) is special
+
+    def test_ensemble_counts_the_normals_of_all_its_chains(self):
+        # 2 chains of 500, 2 jittered chains of 250 (two normals a step),
+        # then 2 chains of 501
+        src = str(os.path.dirname(os.path.dirname(qho_measure.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH_ENSEMBLES], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert json.loads(done.stdout) == [False, False, True]
 
 
 class TestNormality:

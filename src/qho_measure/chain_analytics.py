@@ -24,6 +24,12 @@ from .gaussian_core import (
 EPS_RES = 1e-9
 
 
+def _resonant(sin: float, cos: float) -> bool:
+    """Whether the chain at phase omega t_M diverges: |sin| <= EPS_RES, or
+    cos rounded to +-1, where 1 - cos^2 is 0 in floats."""
+    return abs(sin) <= EPS_RES or abs(cos) == 1.0
+
+
 @dataclass(frozen=True)
 class MeasurementScheme:
     """Periodic position measurement: period t_M, instrument width sigma_M,
@@ -92,9 +98,8 @@ class ChainClosedForm:
     @property
     def sigma_inf(self) -> float | None:
         """Limiting outcome width |sigma(t_M)/sin(omega t_M)|; None at
-        resonance (|sin(omega t_M)| <= EPS_RES, or rho rounded to +-1, where
-        1 - rho^2 is 0 in floats), where the chain diverges."""
-        return self.sigma_step / self.sin_abs if self.sin_abs > EPS_RES and abs(self.rho) != 1.0 else None
+        resonance, where the chain diverges."""
+        return None if _resonant(self.sin_abs, self.rho) else self.sigma_step / self.sin_abs
 
 
 @dataclass(frozen=True)
@@ -153,11 +158,11 @@ def _phase(angle: float) -> float:
 
 def _limit_width(width: float, angle: float, gs: float) -> float:
     """sqrt(width^2 cot^2(angle) + gs^4 / (4 width^2)), the limiting width of
-    both forms below. Raises ResonanceError where |sin(angle)| <= EPS_RES and
-    DomainError where rounding sets the angle or the value leaves float range."""
+    both forms below. Raises ResonanceError at resonance and DomainError
+    where rounding sets the angle or the value leaves float range."""
     s, c = math.sin(_phase(angle)), math.cos(angle)
-    if abs(s) <= EPS_RES:
-        raise ResonanceError(f"|sin({angle!r})| <= {EPS_RES}: resonant, the limiting width diverges")
+    if _resonant(s, c):
+        raise ResonanceError(f"sin({angle!r}) = {s:.3e}, cos = {c!r}: resonant, the limiting width diverges")
     try:
         w2 = width**2
         value = math.sqrt(w2 * (c / s) ** 2 + gs**4 / (4.0 * w2))
@@ -208,10 +213,7 @@ def ensemble_variance_partial(cf: ChainClosedForm, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if cf.sigma_inf is None:
-        raise ResonanceError(
-            f"|sin(omega t_M)| = {cf.sin_abs:.3e}, rho = {cf.rho!r}: resonant, the ensemble variance diverges"
-        )
+    limiting_sigma(cf)  # raises ResonanceError at resonance
     q = cf.rho * cf.rho
     gn = _geometric_sum(q, n)  # (1 - q^n)/(1 - q)
     total = cf.sigma_step**2 * (n - gn) / (1.0 - q) + cf.sigma_first**2 * gn

@@ -7,10 +7,11 @@ accepted for reproducing dimensional setups. Every JSON summary echoes the
 fully resolved configuration (validate.json its --grid-n as well), so a
 run can be repeated exactly from its own output.
 
-Each command builds its setup once and writes its files before it prints;
-simulate computes every statistic first and creates no file until its
-outcomes and their running std are known finite. A stdout closed by its
-reader loses the printed lines only: the exit code is the run's.
+Each command builds its setup once and only computes: it returns its files
+as chunks of bytes (CSV rows stay lazy), its lines to print and its exit
+code. main alone writes, through _write, which removes the files already
+written when a write fails, and prints once every file is written: a stdout
+closed by its reader loses the lines, not the run's exit code.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
@@ -220,8 +221,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json(payload: dict) -> list[bytes]:
+    return [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()]
 
 
 def _csv(kind: str, header: str, chunks):
@@ -238,13 +239,6 @@ def _refuse_unmodelled(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"--jitter-std: {command} models unjittered chains only")
 
 
-def _say(text: str) -> None:
-    """Print text, after the outputs are written: a stdout whose reader has
-    gone away loses the text, not the run or its exit code."""
-    with contextlib.suppress(BrokenPipeError):
-        print(text, flush=True)
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -253,7 +247,7 @@ def _fmt(v) -> str:
 
 # ---------------------------------------------------------------- analyze
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: RunConfig, args: argparse.Namespace):
     _refuse_unmodelled(cfg, "analyze")
     chain_cfg = cfg.chain_config()
     params, scheme = chain_cfg.params, chain_cfg.scheme
@@ -276,12 +270,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "period": params.period,
         "optimal_varsigma_m": opt,
     }
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "analyze.json").write_text(_json({"config": asdict(cfg), "results": results}))
-    for key, val in results.items():
-        _say(f"{key} = {val}")
-    return EXIT_OK
+    files = {"analyze.json": _json({"config": asdict(cfg), "results": results})}
+    return files, [f"{key} = {val}" for key, val in results.items()], EXIT_OK
 
 
 # --------------------------------------------------------------- simulate
@@ -293,7 +283,7 @@ def _running_std_checkpoints(n: int) -> list[int]:
     return sorted(set(pts.tolist()) | {n})
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace):
     if cfg.engine == "grid" and cfg.jitter_std != 0.0:
         raise ConfigError("--jitter-std is not supported by --engine grid")
     if cfg.engine == "chain" and cfg.collapse == "weak":
@@ -357,26 +347,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
             f"{float(lo)!r},{float(hi)!r},{c},{float(d)!r},{_fmt(a)}\n".encode()
             for lo, hi, c, d, a in zip(edges, edges[1:], counts, density, analytic)
         )),
-        "summary.json": [_json(summary).encode()],
+        "summary.json": _json(summary),
     }
-
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        for name, chunks in files.items():
-            with (out / name).open("wb") as f:
-                written.append(out / name)
-                f.writelines(chunks)
-    except Exception:
-        for path in written:  # no partial set of outputs is left behind
-            with contextlib.suppress(OSError):
-                path.unlink()
-        raise
-    _say(f"wrote {len(written)} files to {out}")
+    lines = [f"wrote {len(files)} files to {Path(cfg.out)}"]
     if relative_error is not None:  # a sample std and a sigma_inf
-        _say(f"sample std = {sample_std:.6g}, sigma_inf = {sigma_inf:.6g}")
-    return EXIT_OK
+        lines.append(f"sample std = {sample_std:.6g}, sigma_inf = {sigma_inf:.6g}")
+    return files, lines, EXIT_OK
 
 
 # ------------------------------------------------------------------ sweep
@@ -403,7 +379,7 @@ def _sweep_row(vs: float, tau: float) -> bytes:
     return f"{vs!r},{tau!r},{_fmt(value)},{flag}\n".encode()
 
 
-def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace):
     _refuse_unmodelled(cfg, "sweep")
     if args.sweep_varsigma is None and args.sweep_tau is None:
         raise ConfigError("sweep needs --sweep-varsigma and/or --sweep-tau")
@@ -417,19 +393,15 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         if args.sweep_tau is not None
         else np.array([cfg.tau_m])
     )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    with path.open("wb") as f:  # row by row: memory does not grow with the axes
-        rows = (_sweep_row(float(vs), float(tau)) for tau in tau_axis for vs in vs_axis)
-        f.writelines(_csv("sweep", "varsigma_M,tau_M,varsigma_inf,flag", rows))
-    _say(f"wrote {path}")
-    return EXIT_OK
+    # row by row: memory does not grow with the axes
+    rows = (_sweep_row(float(vs), float(tau)) for tau in tau_axis for vs in vs_axis)
+    files = {"sweep.csv": _csv("sweep", "varsigma_M,tau_M,varsigma_inf,flag", rows)}
+    return files, [f"wrote {Path(cfg.out) / 'sweep.csv'}"], EXIT_OK
 
 
 # --------------------------------------------------------------- validate
 
-def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_validate(cfg: RunConfig, args: argparse.Namespace):
     _refuse_unmodelled(cfg, "validate")
     chain_cfg = cfg.chain_config()
     n_points = _parse(_integer, "--grid-n", args.grid_n)
@@ -438,10 +410,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"--grid-n: {exc}") from exc
     results = run_battery(chain_cfg, grid)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    checks = [r.as_dict() for r in results]
-    (out / "validate.json").write_text(_json({"config": asdict(cfg), "grid_n": n_points, "checks": checks}))
+    lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         if r.measured is None:  # the check crashed
@@ -449,8 +418,10 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             extra = f" ({r.detail})" if r.detail else ""
             line = f"measured {r.measured:.3e} vs tolerance {r.tolerance:.3e}{extra}"
-        _say(f"{status} {r.name}: {line}")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
+        lines.append(f"{status} {r.name}: {line}")
+    checks = [r.as_dict() for r in results]
+    files = {"validate.json": _json({"config": asdict(cfg), "grid_n": n_points, "checks": checks})}
+    return files, lines, EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 
 # ------------------------------------------------------------------- main
@@ -499,19 +470,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(out: Path, files: dict) -> None:
+    """Create out and write each file's chunks into it; if a write fails, the
+    files already written are removed, so no partial set of outputs is left."""
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        for name, chunks in files.items():
+            with (out / name).open("wb") as f:
+                written.append(out / name)
+                f.writelines(chunks)
+    except Exception:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
+        # looked up at call time, so a rebound cmd_* module attribute is the one run
+        command = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep, "validate": cmd_validate}
         # overflow shows up as the commands' domain errors, not as warnings
         with np.errstate(all="ignore"):
-            if args.command == "analyze":
-                return cmd_analyze(cfg)
-            if args.command == "simulate":
-                return cmd_simulate(cfg)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, args)
-            return cmd_validate(cfg, args)
+            files, lines, code = command[args.command](cfg, args)
+            _write(Path(cfg.out), files)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -527,6 +512,10 @@ def main(argv=None) -> int:
     except QhoError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    with contextlib.suppress(BrokenPipeError):
+        for line in lines:
+            print(line, flush=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -136,6 +136,11 @@ class TestLimitingSigma:
             limiting_sigma(cf)
         with pytest.raises(ResonanceError):
             ensemble_variance_partial(cf, 1000)
+        # the instrument-term and non-dimensional forms share the rule
+        with pytest.raises(ResonanceError):
+            limiting_sigma_simplified(ref_params, scheme)
+        with pytest.raises(ResonanceError):
+            nondim_limit(NondimPoint(0.5 / ref_params.sigma_gs, tau))
 
     @pytest.mark.parametrize("rho", [math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0)])
     def test_rho_one_ulp_inside_is_not_resonant(self, rho):

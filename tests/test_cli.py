@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qho_measure
-from qho_measure import ChainClosedForm
+from qho_measure import ChainClosedForm, cli
 from qho_measure.cli import RunConfig, main
 from conftest import REF_SIGMA_INF
 
@@ -180,6 +180,13 @@ class TestSimulate:
         _, rows = read_csv(out / "running_std.csv")
         assert rows == [["1", ""]]
 
+    def test_failed_write_leaves_no_partial_outputs(self, tmp_path):
+        # histogram.csv cannot be opened: the two CSVs before it are removed
+        out = tmp_path / "o"
+        (out / "histogram.csv").mkdir(parents=True)
+        assert main(["simulate", "--n", "10", "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["histogram.csv"]
+
     def test_overflow_creates_no_output_directory(self, tmp_path):
         # the running std is known finite before --out is created
         out = tmp_path / "o"
@@ -272,6 +279,30 @@ class TestSweep:
         _, rows = read_csv(out / "sweep.csv")
         assert [r[3] for r in rows] == ["resonant", "domain", "domain"]
 
+    def test_rho_rounded_to_one_is_resonant(self, tmp_path):
+        # |sin(2 pi tau_M)| > EPS_RES, but rho rounds to -1 and to +1: the
+        # rows are resonant, as analyze and simulate exit 4 on these setups
+        out = tmp_path / "o"
+        assert main(["sweep", "--sweep-tau", "0.5000000008", "1e-9", "2", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [(r[1], r[2], r[3]) for r in rows] == [("0.5000000008", "", "resonant"), ("1e-09", "", "resonant")]
+
+    def test_failed_write_leaves_no_partial_sweep(self, tmp_path, monkeypatch):
+        # the rows stream into sweep.csv; a row that fails removes the file
+        row = cli._sweep_row
+        calls = []
+
+        def failing_row(vs, tau):
+            calls.append(tau)
+            if len(calls) > 5:
+                raise MemoryError
+            return row(vs, tau)
+
+        monkeypatch.setattr(cli, "_sweep_row", failing_row)
+        out = tmp_path / "o"
+        assert main(["sweep", "--sweep-tau", "0.1", "0.4", "10", "--out", str(out)]) == 3
+        assert not (out / "sweep.csv").exists()
+
     def test_missing_axes_is_config_error(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == 3
 
@@ -344,14 +375,49 @@ class _ClosedStdout(io.TextIOBase):
     (["simulate", "--n", "10"], "summary.json", 0),
     # 2000 samples are too few for chain_vs_sigma_inf's 1%: the battery fails
     (["validate", "--n", "2000"], "validate.json", 2),
-], ids=["analyze", "simulate", "validate"])
+    (["sweep", "--sweep-tau", "0.1", "0.4", "7"], "sweep.csv", 0),
+], ids=["analyze", "simulate", "validate", "sweep"])
 def test_closed_stdout_keeps_the_json(tmp_path, monkeypatch, argv, record, code):
     # the files are written before anything is printed, and the exit code
     # is the run's own
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == code
-    assert strict_json(out / record)["config"]["out"] == str(out)
+    if record == "sweep.csv":  # no JSON: every row is there
+        assert len(read_csv(out / record)[1]) == 7
+    else:
+        assert strict_json(out / record)["config"]["out"] == str(out)
+
+
+def test_printed_lines(tmp_path, capsys):
+    # the exact lines main prints for each command's default run
+    out = tmp_path / "o"
+
+    def lines(argv):
+        assert main([*argv, "--out", str(out)]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    keys = ["sigma_inf", "sigma_inf_simplified", "varsigma_inf", "sigma_step", "sigma_first",
+            "sigma_gs", "rho", "period", "optimal_varsigma_m"]
+    printed = lines(["analyze"])
+    results = strict_json(out / "analyze.json")["results"]
+    assert printed == [f"{key} = {results[key]}" for key in keys]
+
+    printed = lines(["simulate", "--n", "1000", "--seed", "7"])
+    summary = strict_json(out / "summary.json")
+    assert printed == [
+        f"wrote 4 files to {out}",
+        f"sample std = {summary['sample_std']:.6g}, sigma_inf = 1.42373",
+    ]
+
+    assert lines(["sweep", "--sweep-tau", "0.1", "0.4", "3"]) == [f"wrote {out / 'sweep.csv'}"]
+
+    printed = lines(["validate", "--n", "60000"])
+    checks = strict_json(out / "validate.json")["checks"]
+    assert len(printed) == len(checks) == 7
+    for line, c in zip(printed, checks):
+        head = f"PASS {c['name']}: measured {c['measured']:.3e} vs tolerance {c['tolerance']:.3e}"
+        assert line == head + (f" ({c['detail']})" if c["detail"] else "")
 
 
 # Bad inputs: (argv, config-file object or None, QHO_SEED or None, exit code).

@@ -7,11 +7,13 @@ accepted for reproducing dimensional setups. Every JSON summary echoes the
 fully resolved configuration (validate.json its --grid-n as well), so a
 run can be repeated exactly from its own output.
 
-Each command builds its setup once and only computes: it returns its files
-as chunks of bytes (CSV rows stay lazy), its lines to print and its exit
-code. main alone writes, through _write, which removes the files already
-written when a write fails, and prints once every file is written: a stdout
-closed by its reader loses the lines, not the run's exit code.
+resolve_config builds each run's setup once, as RunConfig.chain; every
+command reads it, and its closed form chain.closed_form, from there. Each
+command only computes: it returns its files as chunks of bytes (CSV rows
+stay lazy), its lines to print and its exit code. main alone writes, through
+_write, which removes the files already written when a write fails, and
+prints once every file is written: a stdout closed by its reader loses the
+lines, not the run's exit code.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error (a
 malformed, non-finite or out-of-range value, whether from a flag, the config
@@ -34,12 +36,12 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .chain_analytics import (
-    ChainClosedForm,
     MeasurementScheme,
     NondimPoint,
     limiting_sigma,
@@ -96,6 +98,11 @@ class RunConfig:
     engine: str = field(default="chain", metadata={"choices": ("chain", "grid")})
     collapse: str = field(default="replace", metadata={"choices": ("replace", "weak")})
     out: str = "qho_out"
+
+    @cached_property
+    def chain(self) -> ChainConfig:
+        """The run's ChainConfig: chain_config() at first access, which resolve_config makes last."""
+        return self.chain_config()
 
     def chain_config(self) -> ChainConfig:
         return ChainConfig(
@@ -192,7 +199,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file, flags, QHO_SEED and RunConfig's defaults.
 
     Flags win over the file. Range checks are the domain types' own, made by
-    building the chain configuration once.
+    building the run's chain configuration, cfg.chain, the one its command uses.
     """
     values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {
@@ -215,7 +222,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.sigma_m, cfg.varsigma_m = _pick_pair(values, "sigma_m", "varsigma_m", params.sigma_gs)
         if cfg.sigma_x0 is None:
             cfg.sigma_x0 = params.sigma_gs
-        cfg.chain_config()
+        cfg.chain
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -249,9 +256,7 @@ def _fmt(v) -> str:
 
 def cmd_analyze(cfg: RunConfig, args: argparse.Namespace):
     _refuse_unmodelled(cfg, "analyze")
-    chain_cfg = cfg.chain_config()
-    params, scheme = chain_cfg.params, chain_cfg.scheme
-    cf = ChainClosedForm.from_setup(params, scheme, chain_cfg.initial)
+    params, scheme, cf = cfg.chain.params, cfg.chain.scheme, cfg.chain.closed_form
     sigma_inf = limiting_sigma(cf)  # raises ResonanceError at resonance
     sigma_inf_simplified = limiting_sigma_simplified(params, scheme)
     varsigma_inf = nondim_limit(NondimPoint(cfg.varsigma_m, cfg.tau_m))
@@ -288,15 +293,14 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace):
         raise ConfigError("--jitter-std is not supported by --engine grid")
     if cfg.engine == "chain" and cfg.collapse == "weak":
         raise ConfigError("--collapse weak needs --engine grid: the chain engine samples replace chains only")
-    chain_cfg = cfg.chain_config()
-    cf = ChainClosedForm.from_setup(chain_cfg.params, chain_cfg.scheme, chain_cfg.initial)
+    cf = cfg.chain.closed_form
     sigma_inf = cf.sigma_inf
     if cfg.engine == "grid":
-        record = run_chain_grid(chain_cfg, mode=CollapseMode(cfg.collapse))
-        stats = RunningStats.for_scale(sigma_inf if sigma_inf else 10 * chain_cfg.params.sigma_gs)
+        record = run_chain_grid(cfg.chain, mode=CollapseMode(cfg.collapse))
+        stats = RunningStats.for_scale(sigma_inf if sigma_inf else 10 * cfg.chain.params.sigma_gs)
         stats.push_array(record.samples)
     else:
-        record, stats = run_chain(chain_cfg)
+        record, stats = run_chain(cfg.chain)
     samples, periods = record.samples, record.periods
     if not (np.isfinite(samples).all() and (periods is None or np.isfinite(periods).all())):
         raise DomainError("the chain overflowed to non-finite outcomes; no files written")
@@ -403,13 +407,12 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace):
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace):
     _refuse_unmodelled(cfg, "validate")
-    chain_cfg = cfg.chain_config()
     n_points = _parse(_integer, "--grid-n", args.grid_n)
     try:
-        grid = default_grid_for(chain_cfg, n_points=n_points)
+        grid = default_grid_for(cfg.chain, n_points=n_points)
     except ValueError as exc:
         raise ConfigError(f"--grid-n: {exc}") from exc
-    results = run_battery(chain_cfg, grid)
+    results = run_battery(cfg.chain, grid)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -488,6 +491,7 @@ def _write(out: Path, files: dict) -> None:
 
 
 def main(argv=None) -> int:
+    args = None  # for the MemoryError handler: parsing itself may run out of memory
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
@@ -500,8 +504,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError:
-        print("configuration error: not enough memory for this run; lower --n", file=sys.stderr)
+    except MemoryError:  # --n sizes the chain of simulate and validate only
+        hint = "; lower --n" if getattr(args, "command", None) in ("simulate", "validate") else ""
+        print(f"configuration error: not enough memory for this run{hint}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # reading the config file is a ConfigError already
         print(f"configuration error: cannot write the outputs: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_analytics import ChainClosedForm, povm_parameters
+from .chain_analytics import povm_parameters
 from .errors import DomainError, GridTooCoarse, GridTooSmall, LeakageError
 from .gaussian_core import Gaussian, OscillatorParams, WavePacket
 from .trajectory_sim import ChainConfig, MeasurementRecord
@@ -212,18 +212,17 @@ def measure_and_collapse(
 
 def default_grid_for(cfg: ChainConfig, n_points: int = DEFAULT_N_POINTS) -> Grid:
     """Extent +-max(12 sigma_inf_predicted, 12 sigma_gs)."""
-    cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
-    return Grid.symmetric(12.0 * max(cfg.params.sigma_gs, cf.sigma_inf or 0.0), n_points)
+    return Grid.symmetric(12.0 * max(cfg.params.sigma_gs, cfg.closed_form.sigma_inf or 0.0), n_points)
 
 
-def _refuse_unresolved(cfg: ChainConfig, grid: Grid, cf: ChainClosedForm, mode: CollapseMode) -> None:
+def _refuse_unresolved(cfg: ChainConfig, grid: Grid, mode: CollapseMode) -> None:
     """A weak collapse needs a prior wider than sigma_M, which the first one,
     the evolved initial packet, may not be. The default grid spans +-12
     max(sigma_inf, sigma_gs) on a fixed number of points; a large sigma_inf
     or a tiny width leaves its spacing too coarse for the instrument or the
     initial packet, and a wide or far-off packet (the initial one, or a
     replacement of width sigma_M) overruns its extent."""
-    sigma_M = cfg.scheme.sigma_M
+    sigma_M, cf = cfg.scheme.sigma_M, cfg.closed_form
     if mode is CollapseMode.WEAK_PRODUCT and cf.sigma_first <= sigma_M:
         raise DomainError(
             f"weak collapse needs the evolved initial packet wider than the instrument, "
@@ -256,9 +255,8 @@ def run_chain_grid(
 ) -> MeasurementRecord:
     """Full measurement chain driven by grid dynamics on default_grid_for(cfg),
     after refusing a setup that grid cannot run (see _refuse_unresolved)."""
-    cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
     grid = default_grid_for(cfg)
-    _refuse_unresolved(cfg, grid, cf, mode)
+    _refuse_unresolved(cfg, grid, mode)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     wf = init_packet(grid, cfg.initial)
     samples = np.empty(cfg.n_measurements)

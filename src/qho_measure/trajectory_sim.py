@@ -34,7 +34,8 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,11 @@ class ChainConfig:
             raise ValueError("n_measurements must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    @cached_property
+    def closed_form(self) -> ChainClosedForm:
+        """ChainClosedForm.from_setup of this setup, derived once; a DomainError is not cached."""
+        return ChainClosedForm.from_setup(self.params, self.scheme, self.initial)
 
 
 @dataclass(frozen=True)
@@ -153,16 +159,9 @@ class RunningStats:
         """Combine two stats accumulated over identical bin edges."""
         if not np.array_equal(self.edges, other.edges):
             raise ValueError("cannot merge histograms with different bin edges")
-        out = RunningStats(
-            edges=self.edges,
-            count=self.count,
-            mean=self.mean,
-            _m2=self._m2,
-            counts=self.counts.copy(),
-        )
+        out = replace(self, counts=self.counts + other.counts)
         if other.count:
             out._merge_moments(other.count, other.mean, other._m2)
-        out.counts += other.counts
         return out
 
 
@@ -266,8 +265,7 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
     Without jitter every step has the nominal memory coefficient and width.
     With it, uniforms 0..n-1 give the periods and n..2n-1 the noise, and each
     step's coefficient and width are recomputed for its period."""
-    params, scheme, n = cfg.params, cfg.scheme, cfg.n_measurements
-    cf = ChainClosedForm.from_setup(params, scheme, cfg.initial)
+    params, scheme, n, cf = cfg.params, cfg.scheme, cfg.n_measurements, cfg.closed_form
     resonant = cf.sigma_inf is None
     jittered = scheme.jitter_std != 0.0
     if resonant and not jittered:
@@ -386,6 +384,7 @@ def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
     children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
     # all the chains' normals pick the backend: above the count, scipy.special loads here for every chain
     _special(n_chains * cfg.n_measurements * (2 if cfg.scheme.jitter_std else 1))
+    cfg.closed_form  # derived once, before the threads read it: from Python 3.12 cached_property has no lock
     results = _map_on_threads(lambda i: _run_chain_seeded(cfg, children[i], keep=False)[1], n_chains)
     pooled = None
     for stats in results:  # a chain left unrun follows a failed one
@@ -400,7 +399,7 @@ def thinning_interval(rho: float) -> int:
     r = abs(rho)
     if r >= 1.0:
         raise ValueError("|rho| must be < 1 to thin to independence")
-    if r == 0.0 or r**1 < THINNING_THRESHOLD:
+    if r < THINNING_THRESHOLD:
         return 1
     k = math.ceil(math.log(THINNING_THRESHOLD) / math.log(r))
     while r**k >= THINNING_THRESHOLD:  # guard rounding at the boundary

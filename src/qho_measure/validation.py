@@ -110,8 +110,7 @@ def check_spectral_convergence(params: OscillatorParams, grid: Grid) -> CheckRes
 
 
 def check_chain_vs_limit(cfg: ChainConfig) -> CheckResult:
-    cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
-    target = limiting_sigma(cf)
+    target = limiting_sigma(cfg.closed_form)
     _, stats = run_chain(cfg)
     return _result(
         "chain_vs_sigma_inf",
@@ -150,9 +149,7 @@ def two_step_std_quadrature(cf: ChainClosedForm, n_nodes: int = 401) -> float:
     span = 12.0 * math.sqrt(cf.sigma_step**2 + cf.sigma_first**2)
     u = np.linspace(-12.0 * cf.sigma_first, 12.0 * cf.sigma_first, n_nodes)
     x = np.linspace(-span, span, n_nodes)
-    kernel = np.exp(
-        -0.5 * ((x[:, None] - cf.rho * u[None, :]) / cf.sigma_step) ** 2
-    ) / (math.sqrt(2.0 * math.pi) * cf.sigma_step)
+    kernel = Gaussian(0.0, cf.sigma_step).pdf(x[:, None] - cf.rho * u[None, :])
     d2 = np.trapezoid(kernel * d1.pdf(u)[None, :], u, axis=1)
     mass = np.trapezoid(d2, x)
     mean = np.trapezoid(x * d2, x) / mass
@@ -162,8 +159,7 @@ def two_step_std_quadrature(cf: ChainClosedForm, n_nodes: int = 401) -> float:
 
 def check_partial_sum_identity(cfg: ChainConfig) -> CheckResult:
     """Closed-form s_n^2 vs brute-force averaging of the first n variances."""
-    cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
-    worst = 0.0
+    cf, worst = cfg.closed_form, 0.0
     for n in (1, 2, 3, 10, 100, 10_000):
         brute = sum(density_before_nth(cf, i).variance for i in range(1, n + 1)) / n
         closed = ensemble_variance_partial(cf, n)

@@ -287,7 +287,7 @@ class TestSweep:
         _, rows = read_csv(out / "sweep.csv")
         assert [(r[1], r[2], r[3]) for r in rows] == [("0.5000000008", "", "resonant"), ("1e-09", "", "resonant")]
 
-    def test_failed_write_leaves_no_partial_sweep(self, tmp_path, monkeypatch):
+    def test_failed_write_leaves_no_partial_sweep(self, tmp_path, monkeypatch, capsys):
         # the rows stream into sweep.csv; a row that fails removes the file
         row = cli._sweep_row
         calls = []
@@ -302,6 +302,8 @@ class TestSweep:
         out = tmp_path / "o"
         assert main(["sweep", "--sweep-tau", "0.1", "0.4", "10", "--out", str(out)]) == 3
         assert not (out / "sweep.csv").exists()
+        # --n sizes nothing in a sweep, so the message does not name it
+        assert "--n" not in capsys.readouterr().err
 
     def test_missing_axes_is_config_error(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == 3
@@ -361,6 +363,54 @@ class TestValidate:
             if c["measured"] is not None:
                 assert c["margin"] == c["measured"] / c["tolerance"]
                 assert (c["margin"] <= 1.0) == c["passed"]
+
+
+def test_simulate_out_of_memory_names_n(tmp_path, monkeypatch, capsys):
+    def no_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_chain", no_memory)
+    assert main(["simulate", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "configuration error: not enough memory for this run; lower --n\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def setup_counts(monkeypatch):
+    """The ChainConfigs RunConfig.chain_config() builds and the setups
+    ChainClosedForm.from_setup derives a closed form for, as they happen."""
+    built, derived = [], []
+    chain_config, from_setup = RunConfig.chain_config, ChainClosedForm.from_setup.__func__
+
+    def counting_chain_config(self):
+        built.append(chain_config(self))
+        return built[-1]
+
+    def counting_from_setup(cls, params, scheme, initial):
+        derived.append((params, scheme, initial))
+        return from_setup(cls, params, scheme, initial)
+
+    monkeypatch.setattr(RunConfig, "chain_config", counting_chain_config)
+    monkeypatch.setattr(ChainClosedForm, "from_setup", classmethod(counting_from_setup))
+    return built, derived
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["analyze"], 0),
+    (["simulate", "--n", "1000"], 0),
+    (["simulate", "--engine", "grid", "--n", "5"], 0),
+    (["validate", "--n", "2000"], 2),
+], ids=["analyze", "simulate", "simulate-grid", "validate"])
+def test_setup_built_and_derived_once(tmp_path, setup_counts, argv, code):
+    # resolve_config builds the run's ChainConfig, and every command, engine
+    # and check reads its one closed form
+    built, derived = setup_counts
+    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    (chain,) = built
+    own = (chain.params, chain.scheme, chain.initial)
+    assert derived.count(own) == 1
+    if argv[0] != "validate":  # whose quadrature check derives 20 setups of its own
+        assert derived == [own]
 
 
 class _ClosedStdout(io.TextIOBase):

@@ -19,6 +19,7 @@ from qho_measure import cephes
 from qho_measure import (
     ChainClosedForm,
     ChainConfig,
+    DomainError,
     InsufficientSamples,
     MeasurementScheme,
     ResonanceError,
@@ -203,6 +204,35 @@ class TestRunEnsemble:
         assert stats.variance == 2.1081291484897924
         counts = hashlib.sha256(repr(stats.counts.tolist()).encode()).hexdigest()
         assert counts == "7811739cfb4e3767440a0d75828ed50d87ee9adabb4109982ff3443a3f6d5e0d"
+
+
+    def test_closed_form_derived_once(self, ref_config, monkeypatch):
+        # the chains share their config's closed form
+        setups, from_setup = [], ChainClosedForm.from_setup.__func__
+
+        def counting(cls, *setup):
+            setups.append(setup)
+            return from_setup(cls, *setup)
+
+        monkeypatch.setattr(ChainClosedForm, "from_setup", classmethod(counting))
+        assert run_ensemble(ref_config(n=200, seed=3), n_chains=16).count == 3200
+        assert len(setups) == 1
+
+
+class TestChainConfigClosedForm:
+    def test_is_the_setups_closed_form(self, ref_config, ref_params, ref_scheme, ref_packet):
+        cfg = ref_config()
+        assert cfg.closed_form == ChainClosedForm.from_setup(ref_params, ref_scheme, ref_packet)
+        assert cfg.closed_form is cfg.closed_form
+
+    def test_overflow_raises_on_every_access(self, ref_params, ref_packet):
+        # nothing is cached for a setup whose scales leave float range
+        scheme = MeasurementScheme(t_M=0.2 * ref_params.period, sigma_M=1e200)
+        cfg = ChainConfig(ref_params, scheme, ref_packet, n_measurements=10, seed=0)
+        for _ in range(2):
+            with np.errstate(all="ignore"), pytest.raises(DomainError, match="float range"):
+                cfg.closed_form
+        assert "closed_form" not in vars(cfg)
 
 
 class TestRunEnsembleThreads:

@@ -4,6 +4,7 @@ without importing scipy. They make the C code's operations in its order,
 which numpy's +, -, *, / and sqrt round as C does, and take every log and
 exp from math.log and math.exp, the C library scipy calls (np.log differs in
 the last bit on some inputs). That pass is a Python loop and holds the GIL.
+Both take 1-D arrays and work through them BLOCK values at a time.
 """
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ import numpy as np
 EXP_M2 = 0.13533528323661269189  # e^-2, the edge of ndtri's central branch
 SQRT1_2 = 0.70710678118654752440
 MAXLOG = 7.09782712893383996843e2  # exp underflows below -MAXLOG
+
+# Values per block. A block's scratch (the branch masks, the branches' arrays
+# and the tolist of the log or exp pass) is about 0.6 MB in ndtri and 1.1 MB
+# in ndtr, and a call's is the same whatever its input's length.
+BLOCK = 1 << 14
 
 # Cephes's tables; each Q carries the leading 1 that Cephes's p1evl implies.
 # ndtri: P0/Q0 for |y - 1/2| < 1/2 - e^-2, then P1/Q1 for sqrt(-2 log y) < 8, P2/Q2 beyond
@@ -62,8 +68,35 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.tolist()), float, count=x.size)
 
 
+def _polevl_split(z: np.ndarray, near: np.ndarray, near_coef, far_coef) -> np.ndarray:
+    """_polevl of z by near_coef, and by far_coef where not near: the far
+    table is evaluated only on the values that take it."""
+    v = _polevl(z, near_coef)
+    far = ~near
+    if far.any():
+        v[far] = _polevl(z[far], far_coef)
+    return v
+
+
+def _by_blocks(f, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """f(a block, out's block) for each BLOCK values of a; returns out."""
+    for lo in range(0, a.size, BLOCK):
+        f(a[lo:lo + BLOCK], out[lo:lo + BLOCK])
+    return out
+
+
 def ndtri(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x with Phi(x) = y for each y in (0, 1), into out (which may be y)."""
+    return _by_blocks(_ndtri, y, out)
+
+
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each value of a."""
+    a = np.asarray(a, dtype=float)
+    return _by_blocks(_ndtr, a, np.empty_like(a))
+
+
+def _ndtri(y: np.ndarray, out: np.ndarray) -> None:
     upper = y > 1.0 - EXP_M2
     tail = upper | (y <= EXP_M2)  # Cephes's y -> 1 - y above 1 - e^-2 is exact and lands at or below e^-2
     r, flip = y[tail], upper[tail]
@@ -76,14 +109,12 @@ def ndtri(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     x0 = x - _libm(math.log, x) / x
     z = 1.0 / x
     near = x < 8.0
-    x = x0 - z * np.where(near, _polevl(z, P1), _polevl(z, P2)) / np.where(near, _polevl(z, Q1), _polevl(z, Q2))
+    x = x0 - z * _polevl_split(z, near, P1, P2) / _polevl_split(z, near, Q1, Q2)
     out[tail] = np.where(flip, x, -x)
-    return out
 
 
-def ndtr(a: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of each value of a."""
-    x = np.asarray(a, dtype=float) * SQRT1_2
+def _ndtr(a: np.ndarray, out: np.ndarray) -> None:
+    x = a * SQRT1_2
     z = np.abs(x)
     low = z < 1.0
     zl = z[low]
@@ -94,9 +125,7 @@ def ndtr(a: np.ndarray) -> np.ndarray:
         high = ~low & ~(-z * z < -MAXLOG)
     zh = z[high]
     near = zh < 8.0
-    erfc[high] = _libm(math.exp, -zh * zh) * np.where(near, _polevl(zh, P), _polevl(zh, R)) / np.where(
-        near, _polevl(zh, Q), _polevl(zh, S))
-    y = np.where(x > 0, 1.0 - 0.5 * erfc, 0.5 * erfc)
+    erfc[high] = _libm(math.exp, -zh * zh) * _polevl_split(zh, near, P, R) / _polevl_split(zh, near, Q, S)
+    out[:] = np.where(x > 0, 1.0 - 0.5 * erfc, 0.5 * erfc)
     inner = z < SQRT1_2  # Cephes takes 0.5 + 0.5 erf(x) there
-    y[inner] = 0.5 + 0.5 * np.copysign(erf[inner[low]], x[inner])
-    return y
+    out[inner] = 0.5 + 0.5 * np.copysign(erf[inner[low]], x[inner])

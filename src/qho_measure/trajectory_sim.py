@@ -13,7 +13,8 @@ The recurrence is evaluated by a numpy-only lane scan, ar1_scan, that
 gives the same bits as the step-by-step loop (one rounded product and one
 rounded sum per step), so a seed's output does not depend on how the scan
 is cut into chunks and lanes. _run_chain_seeded calls ar1_scan once per
-SCAN_CHUNK steps, then pushes the chunk into the chain's statistics.
+chunk of SCAN_LANES lanes (at most SCAN_CHUNK steps), then pushes the chunk
+into the chain's statistics.
 
 RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
@@ -52,10 +53,13 @@ THINNING_THRESHOLD = 0.05
 HIST_BINS = 200
 HIST_HALF_WIDTH_SIGMAS = 6.0
 
-# Chains are drawn and scanned in chunks of this many samples, which bounds
-# their scratch memory whatever the chain length; the scan runs its loop on
-# pieces of at most SCAN_LOOP_PIECE samples: longer Python lists are slower
-# per sample.
+# Chains are drawn and scanned in chunks of SCAN_LANES lanes of their nominal
+# rho's lane length (at least 2^17 steps: a lane is at least
+# SCAN_WARMUP_MARGIN steps), capped at SCAN_CHUNK steps. That bounds their
+# scratch memory whatever the chain length, and keeps it small where lanes
+# are short. The scan runs its loop on pieces of at most SCAN_LOOP_PIECE
+# samples: longer Python lists are slower per sample.
+SCAN_LANES = 2048
 SCAN_CHUNK = 1 << 19
 SCAN_LOOP_PIECE = 1 << 17
 # Warm-up steps added to the 53-bit decay length of each lane.
@@ -65,8 +69,12 @@ SCAN_MIN_LANES = 32
 
 # Runs of more values through ndtri or ndtr import scipy.special. For fewer,
 # its import (about 0.3 s) costs more than the numpy ports in cephes add
-# (about 140 ns a value for ndtri, 110 ns for ndtr).
+# (about 110 ns a value for ndtri, 100 ns for ndtr).
 PORT_MAX_VALUES = 2_000_000
+
+# normality_statistic takes the CDF of its sorted sample this many values at
+# a time, so its scratch beyond the sorted copy does not grow with the sample.
+KS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -256,8 +264,10 @@ def ar1_scan(a, b: np.ndarray, y: float, out: np.ndarray) -> np.ndarray:
 
 
 def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: bool = True):
-    """Draw, scale and scan one chain SCAN_CHUNK steps at a time, in buffers
-    reused from chunk to chunk, and push each chunk into the statistics.
+    """Draw, scale and scan one chain a chunk at a time, in buffers reused
+    from chunk to chunk, and push each chunk into the statistics. A chunk is
+    SCAN_LANES lanes of the lane length of the nominal rho, at most
+    SCAN_CHUNK steps, and SCAN_CHUNK where rho has no lane length (|rho| = 1).
     With keep the outcomes (and periods) are written straight into the
     returned record; without it they live in chunk buffers and the record is
     None, so the chain's memory does not grow with its length.
@@ -276,7 +286,9 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
     scale = 10.0 * max(cf.sigma_first, cf.sigma_step, params.sigma_gs) if resonant else cf.sigma_inf
     stats = RunningStats.for_scale(scale)
 
-    m = min(n, SCAN_CHUNK)
+    k = _scan_warmup(cf.rho)
+    chunk = SCAN_CHUNK if k is None else min(SCAN_CHUNK, SCAN_LANES * k)
+    m = min(n, chunk)
     x = np.empty(n if keep else m)
     periods = np.empty(n if keep else m) if jittered else None
     noise, coeffs = np.empty(m), np.empty(m) if jittered else None
@@ -285,8 +297,8 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
     # n periods, so a second generator moved on by n draws reads it per chunk
     noise_rng = np.random.Generator(np.random.PCG64(seed_seq).advance(n)) if jittered else rng
     y, normals = float(cfg.initial.x0), 2 * n if jittered else n
-    for lo in range(0, n, SCAN_CHUNK):
-        size = min(SCAN_CHUNK, n - lo)
+    for lo in range(0, n, chunk):
+        size = min(chunk, n - lo)
         part = slice(lo, lo + size) if keep else slice(0, size)
         b = _standard_normal(noise_rng, noise[:size], normals)
         eta0 = b[0]
@@ -416,14 +428,18 @@ def normality_statistic(samples: np.ndarray, sigma_target: float) -> float:
     """Kolmogorov-Smirnov D of the samples against N(0, sigma_target^2).
 
     Callers are responsible for thinning correlated chain output first
-    (see thinning_interval); KS on correlated samples is not valid.
+    (see thinning_interval); KS on correlated samples is not valid. Each
+    side's maximum is taken over KS_BLOCK values at a time, which gives the
+    one-shot maximum exactly.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     if n < 100:
         raise InsufficientSamples(f"need >= 100 samples for KS, got {n}")
-    cdf = _special(n).ndtr(xs / sigma_target)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    ndtr, d_plus, d_minus = _special(n).ndtr, [], []
+    for lo in range(0, n, KS_BLOCK):
+        cdf = ndtr(xs[lo:lo + KS_BLOCK] / sigma_target)
+        i = np.arange(lo + 1, lo + cdf.size + 1)
+        d_plus.append(np.max(i / n - cdf))
+        d_minus.append(np.max(cdf - (i - 1) / n))
+    return float(max(np.max(d_plus), np.max(d_minus)))

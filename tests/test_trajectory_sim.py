@@ -361,7 +361,8 @@ class TestMultiChunkChain:
         scheme = MeasurementScheme(t_M=t_M, sigma_M=0.5, jitter_std=jitter * t_M)
         packet = WavePacket(x0=x0, sigma_x0=ref_params.sigma_gs)
         cf = ChainClosedForm.from_setup(ref_params, scheme, packet)
-        n = ts.SCAN_CHUNK + ts._scan_warmup(cf.rho) // 2 if kind == "chunk_half_lane" else 3 * ts.SCAN_CHUNK + 7
+        k = ts._scan_warmup(cf.rho)
+        n = min(ts.SCAN_CHUNK, ts.SCAN_LANES * k) + k // 2 if kind == "chunk_half_lane" else 3 * ts.SCAN_CHUNK + 7
         record, _ = run_chain(ChainConfig(ref_params, scheme, packet, n, seed=17))
         u = np.random.Generator(np.random.PCG64(17)).random(2 * n if jitter else n)
         eta = ndtri(np.maximum(u, 1e-300))
@@ -378,6 +379,30 @@ class TestMultiChunkChain:
             assert record.periods is None
         assert record.samples.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("tau", [0.2, 0.45])
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_chunk_size_does_not_change_the_chain(self, monkeypatch, ref_params, tau, jitter):
+        # chunks of SCAN_LANES lanes (196,608 steps at tau 0.2, k = 96; the
+        # SCAN_CHUNK cap at tau 0.45, k = 797) against chunks forced to
+        # SCAN_CHUNK: the same outcomes, periods and histogram counts
+        t_M = tau * ref_params.period
+        scheme = MeasurementScheme(t_M=t_M, sigma_M=0.5, jitter_std=jitter * t_M)
+        cfg = ChainConfig(ref_params, scheme, WavePacket(1.3, ref_params.sigma_gs), 2 * ts.SCAN_CHUNK + 7, seed=17)
+        sizes, scan = [], ts.ar1_scan
+        monkeypatch.setattr(ts, "ar1_scan", lambda a, b, y, out: sizes.append(b.size) or scan(a, b, y, out))
+        (record, stats), chunks = run_chain(cfg), sizes[:]
+        sizes.clear()
+        monkeypatch.setattr(ts, "SCAN_LANES", ts.SCAN_CHUNK)
+        forced, forced_stats = run_chain(cfg)
+        assert max(chunks) == (196_608 if tau == 0.2 else ts.SCAN_CHUNK)
+        assert sizes == [ts.SCAN_CHUNK, ts.SCAN_CHUNK, 7]
+        assert record.samples.tobytes() == forced.samples.tobytes()
+        assert (record.periods is None) == (jitter == 0.0)
+        if jitter:
+            assert record.periods.tobytes() == forced.periods.tobytes()
+        assert stats.count == forced_stats.count
+        assert np.array_equal(stats.counts, forced_stats.counts)
+
 
 def traced_peak(call) -> int:
     """Peak traced allocation, in bytes, while call() runs."""
@@ -393,7 +418,7 @@ class TestChainMemory:
     """Peak traced allocation of a chain: run_chain holds its record plus
     scratch of a few scan chunks; an ensemble chain holds only the scratch."""
 
-    @pytest.mark.parametrize("jitter,limit", [(0.0, 13.0), (0.05, 25.0)])
+    @pytest.mark.parametrize("jitter,limit", [(0.0, 10.0), (0.05, 20.0)])
     def test_peak_bytes_per_sample(self, ref_config, ref_scheme, jitter, limit):
         n = 1 << 21
         jitter_std = jitter * ref_scheme.t_M
@@ -415,17 +440,26 @@ class TestChainMemory:
 
 
 class TestPortMemory:
-    """Scratch of the ndtri port: per chunk, whatever the chain's length."""
+    """Scratch of the ports and of a chain through them: per block and per
+    chunk, whatever the input's or the chain's length."""
 
     def test_one_chunk(self):
-        # measured 32.6 bytes per value: the branch masks, the central
-        # branch's arrays and the tail's tolist
-        y = np.maximum(np.random.Generator(np.random.PCG64(3)).random(ts.SCAN_CHUNK), 1e-300)
-        assert traced_peak(lambda: cephes.ndtri(y, out=y)) <= 36 * ts.SCAN_CHUNK
+        # the ports work cephes.BLOCK values at a time; beyond ndtr's
+        # output, 2^20 values take the scratch of 2^16 (about 0.6 MB for
+        # ndtri, 1.1 MB for ndtr)
+        def scratch(n):
+            y = np.maximum(np.random.Generator(np.random.PCG64(3)).random(n), 1e-300)
+            x = 8.0 * y - 4.0
+            return traced_peak(lambda: cephes.ndtri(y, out=y)), traced_peak(lambda: cephes.ndtr(x)) - 8 * n
+
+        (ndtri_short, ndtr_short), (ndtri_long, ndtr_long) = scratch(1 << 16), scratch(1 << 20)
+        assert ndtri_long <= ndtri_short + (1 << 16)
+        assert ndtr_long <= ndtr_short + (1 << 16)
 
     def test_chain_peak_does_not_grow_with_n(self, monkeypatch, ref_config):
         # with scipy.special not loaded, a chain of up to PORT_MAX_VALUES
-        # normals takes the port, chunk by chunk
+        # normals takes the port, chunk by chunk: at tau 0.2 (k = 96) a
+        # chunk is SCAN_LANES lanes, 196,608 steps
         monkeypatch.delitem(sys.modules, "scipy.special")
         monkeypatch.setattr(ts, "_usable_cpus", lambda: 1)
         sizes, port = [], cephes.ndtri
@@ -434,8 +468,25 @@ class TestPortMemory:
             traced_peak(lambda: run_ensemble(ref_config(n=n, seed=3), n_chains=1))
             for n in (2 * ts.SCAN_CHUNK, 3 * ts.SCAN_CHUNK)
         )
-        assert sizes == [ts.SCAN_CHUNK] * 5
+        assert sizes == [196_608] * 5 + [65_536] + [196_608] * 8
         assert abs(long - short) <= 1 << 20
+
+    def test_jittered_chain_and_ks_scratch(self, monkeypatch, ref_config, ref_scheme):
+        # simulate's jittered run through the ports: the record (samples and
+        # periods, 16 bytes a step) plus at most 8 MB (measured 6.0 MB: the
+        # chunk's noise and coefficients and the scan's two transposed
+        # copies, 1.5 MB each)
+        monkeypatch.delitem(sys.modules, "scipy.special")
+        n = 500_000
+        cfg = ref_config(n=n, seed=3, jitter_std=0.05 * ref_scheme.t_M)
+        run_chain(ref_config(n=1000, jitter_std=0.05 * ref_scheme.t_M))  # warms the chain's code paths untraced
+
+        def chain_and_ks():
+            record, _ = run_chain(cfg)
+            normality_statistic(record.samples[::3], REF_SIGMA_INF)
+
+        assert traced_peak(chain_and_ks) - 16 * n <= 8 << 20
+        assert "scipy.special" not in sys.modules
 
 
 # run in a fresh interpreter, where scipy.special is not loaded until a run
@@ -498,6 +549,14 @@ class TestNormality:
 
     def test_critical_value(self):
         assert abs(ks_critical_1pct(10_000) - 0.0163) < 1e-15
+
+    def test_blocks_give_the_one_shot_statistic(self, rng):
+        xs = rng.normal(0.0, 1.5, size=10**6)
+        s, n = np.sort(xs), xs.size
+        cdf, i = special.ndtr(s / 1.4), np.arange(1, n + 1)
+        want = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+        assert n > ts.KS_BLOCK
+        assert normality_statistic(xs, 1.4).hex() == want.hex()
 
 
 class TestThinning:

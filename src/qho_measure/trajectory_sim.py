@@ -13,8 +13,8 @@ The recurrence is evaluated by a numpy-only lane scan, ar1_scan, that
 gives the same bits as the step-by-step loop (one rounded product and one
 rounded sum per step), so a seed's output does not depend on how the scan
 is cut into chunks and lanes. _run_chain_seeded calls ar1_scan once per
-chunk of SCAN_LANES lanes (at most SCAN_CHUNK steps), then pushes the chunk
-into the chain's statistics.
+chunk of SCAN_LANES lanes (at most SCAN_CHUNK steps), and pushes every
+SCAN_CHUNK steps into the chain's statistics.
 
 RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
@@ -53,10 +53,11 @@ THINNING_THRESHOLD = 0.05
 HIST_BINS = 200
 HIST_HALF_WIDTH_SIGMAS = 6.0
 
-# Chains are drawn and scanned in chunks of SCAN_LANES lanes of their nominal
-# rho's lane length (at least 2^17 steps: a lane is at least
-# SCAN_WARMUP_MARGIN steps), capped at SCAN_CHUNK steps. That bounds their
-# scratch memory whatever the chain length, and keeps it small where lanes
+# A chain's statistics take its outcomes SCAN_CHUNK steps at a time. Within
+# each such block the outcomes are drawn and scanned in chunks of SCAN_LANES
+# lanes of the nominal rho's lane length (at least 2^17 steps: a lane is at
+# least SCAN_WARMUP_MARGIN steps), at most SCAN_CHUNK steps. That bounds the
+# chain's scratch memory whatever its length, and keeps it small where lanes
 # are short. The scan runs its loop on pieces of at most SCAN_LOOP_PIECE
 # samples: longer Python lists are slower per sample.
 SCAN_LANES = 2048
@@ -265,12 +266,14 @@ def ar1_scan(a, b: np.ndarray, y: float, out: np.ndarray) -> np.ndarray:
 
 def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: bool = True):
     """Draw, scale and scan one chain a chunk at a time, in buffers reused
-    from chunk to chunk, and push each chunk into the statistics. A chunk is
+    from chunk to chunk, and push each SCAN_CHUNK steps into the
+    statistics, so their bits do not depend on the chunk. A chunk is
     SCAN_LANES lanes of the lane length of the nominal rho, at most
     SCAN_CHUNK steps, and SCAN_CHUNK where rho has no lane length (|rho| = 1).
     With keep the outcomes (and periods) are written straight into the
-    returned record; without it they live in chunk buffers and the record is
-    None, so the chain's memory does not grow with its length.
+    returned record; without it they live in buffers of SCAN_CHUNK steps and
+    of one chunk, and the record is None, so the chain's memory does not
+    grow with its length.
 
     Without jitter every step has the nominal memory coefficient and width.
     With it, uniforms 0..n-1 give the periods and n..2n-1 the noise, and each
@@ -289,7 +292,7 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
     k = _scan_warmup(cf.rho)
     chunk = SCAN_CHUNK if k is None else min(SCAN_CHUNK, SCAN_LANES * k)
     m = min(n, chunk)
-    x = np.empty(n if keep else m)
+    x = np.empty(n if keep else min(n, SCAN_CHUNK))
     periods = np.empty(n if keep else m) if jittered else None
     noise, coeffs = np.empty(m), np.empty(m) if jittered else None
     rng = np.random.Generator(np.random.PCG64(seed_seq))
@@ -297,27 +300,29 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
     # n periods, so a second generator moved on by n draws reads it per chunk
     noise_rng = np.random.Generator(np.random.PCG64(seed_seq).advance(n)) if jittered else rng
     y, normals = float(cfg.initial.x0), 2 * n if jittered else n
-    for lo in range(0, n, chunk):
-        size = min(chunk, n - lo)
-        part = slice(lo, lo + size) if keep else slice(0, size)
-        b = _standard_normal(noise_rng, noise[:size], normals)
-        eta0 = b[0]
-        if jittered:
-            t = _standard_normal(rng, periods[part], normals)
-            t *= scheme.jitter_std
-            t += scheme.t_M
-            np.maximum(t, T_MIN_FRACTION * scheme.t_M, out=t)
-            b *= evolved_width(params, scheme.sigma_M, t)
-            a = coeffs[:size]
-            np.cos(np.multiply(params.omega, t, out=a), out=a)
-        else:
-            b *= cf.sigma_step
-            a = cf.rho
-        if lo == 0:  # the first step evolves the initial packet
-            b[0] = eta0 * (evolved_width(params, cfg.initial.sigma_x0, t[0]) if jittered else cf.sigma_first)
-        out = ar1_scan(a, b, y, x[part])
-        y = float(out[-1])
-        stats.push_array(out)
+    for start in range(0, n, SCAN_CHUNK):
+        stop = min(start + SCAN_CHUNK, n)
+        block = slice(start, stop) if keep else slice(0, stop - start)
+        for lo in range(start, stop, chunk):
+            size = min(chunk, stop - lo)
+            part = slice(lo, lo + size) if keep else slice(lo - start, lo - start + size)
+            b = _standard_normal(noise_rng, noise[:size], normals)
+            eta0 = b[0]
+            if jittered:
+                t = _standard_normal(rng, periods[part] if keep else periods[:size], normals)
+                t *= scheme.jitter_std
+                t += scheme.t_M
+                np.maximum(t, T_MIN_FRACTION * scheme.t_M, out=t)
+                b *= evolved_width(params, scheme.sigma_M, t)
+                a = coeffs[:size]
+                np.cos(np.multiply(params.omega, t, out=a), out=a)
+            else:
+                b *= cf.sigma_step
+                a = cf.rho
+            if lo == 0:  # the first step evolves the initial packet
+                b[0] = eta0 * (evolved_width(params, cfg.initial.sigma_x0, t[0]) if jittered else cf.sigma_first)
+            y = float(ar1_scan(a, b, y, x[part])[-1])
+        stats.push_array(x[block])
     return (MeasurementRecord(samples=x, periods=periods) if keep else None), stats
 
 
@@ -436,10 +441,10 @@ def normality_statistic(samples: np.ndarray, sigma_target: float) -> float:
     n = xs.size
     if n < 100:
         raise InsufficientSamples(f"need >= 100 samples for KS, got {n}")
-    ndtr, d_plus, d_minus = _special(n).ndtr, [], []
+    ndtr, d_plus, d_minus = _special(n).ndtr, -np.inf, -np.inf
     for lo in range(0, n, KS_BLOCK):
         cdf = ndtr(xs[lo:lo + KS_BLOCK] / sigma_target)
         i = np.arange(lo + 1, lo + cdf.size + 1)
-        d_plus.append(np.max(i / n - cdf))
-        d_minus.append(np.max(cdf - (i - 1) / n))
-    return float(max(np.max(d_plus), np.max(d_minus)))
+        d_plus = np.maximum(d_plus, np.max(i / n - cdf))  # a NaN stays, as in one np.max
+        d_minus = np.maximum(d_minus, np.max(cdf - (i - 1) / n))
+    return float(max(d_plus, d_minus))

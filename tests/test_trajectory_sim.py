@@ -382,26 +382,35 @@ class TestMultiChunkChain:
     @pytest.mark.parametrize("tau", [0.2, 0.45])
     @pytest.mark.parametrize("jitter", [0.0, 0.05])
     def test_chunk_size_does_not_change_the_chain(self, monkeypatch, ref_params, tau, jitter):
-        # chunks of SCAN_LANES lanes (196,608 steps at tau 0.2, k = 96; the
-        # SCAN_CHUNK cap at tau 0.45, k = 797) against chunks forced to
-        # SCAN_CHUNK: the same outcomes, periods and histogram counts
+        # chunks of SCAN_LANES lanes (196,608 steps at tau 0.2, k = 96, three
+        # to a SCAN_CHUNK block; the SCAN_CHUNK cap at tau 0.45, k = 797)
+        # against chunks forced to SCAN_CHUNK: the same outcomes, periods and
+        # statistics, bit for bit, of a chain and of an ensemble
         t_M = tau * ref_params.period
         scheme = MeasurementScheme(t_M=t_M, sigma_M=0.5, jitter_std=jitter * t_M)
         cfg = ChainConfig(ref_params, scheme, WavePacket(1.3, ref_params.sigma_gs), 2 * ts.SCAN_CHUNK + 7, seed=17)
         sizes, scan = [], ts.ar1_scan
         monkeypatch.setattr(ts, "ar1_scan", lambda a, b, y, out: sizes.append(b.size) or scan(a, b, y, out))
-        (record, stats), chunks = run_chain(cfg), sizes[:]
-        sizes.clear()
+
+        def run():
+            sizes.clear()
+            record, stats = run_chain(cfg)
+            chunks = sizes[:]
+            return record, [stats, run_ensemble(cfg, 2)], chunks
+
+        record, stats, chunks = run()
         monkeypatch.setattr(ts, "SCAN_LANES", ts.SCAN_CHUNK)
-        forced, forced_stats = run_chain(cfg)
-        assert max(chunks) == (196_608 if tau == 0.2 else ts.SCAN_CHUNK)
-        assert sizes == [ts.SCAN_CHUNK, ts.SCAN_CHUNK, 7]
+        forced, forced_stats, forced_chunks = run()
+        block = [196_608, 196_608, 131_072] if tau == 0.2 else [ts.SCAN_CHUNK]
+        assert chunks == block * 2 + [7]
+        assert forced_chunks == [ts.SCAN_CHUNK, ts.SCAN_CHUNK, 7]
         assert record.samples.tobytes() == forced.samples.tobytes()
         assert (record.periods is None) == (jitter == 0.0)
         if jitter:
             assert record.periods.tobytes() == forced.periods.tobytes()
-        assert stats.count == forced_stats.count
-        assert np.array_equal(stats.counts, forced_stats.counts)
+        for got, want in zip(stats, forced_stats):
+            assert (got.count, got.mean.hex(), got.variance.hex()) == (want.count, want.mean.hex(), want.variance.hex())
+            assert np.array_equal(got.counts, want.counts)
 
 
 def traced_peak(call) -> int:
@@ -459,7 +468,8 @@ class TestPortMemory:
     def test_chain_peak_does_not_grow_with_n(self, monkeypatch, ref_config):
         # with scipy.special not loaded, a chain of up to PORT_MAX_VALUES
         # normals takes the port, chunk by chunk: at tau 0.2 (k = 96) a
-        # chunk is SCAN_LANES lanes, 196,608 steps
+        # chunk is SCAN_LANES lanes, 196,608 steps, and a SCAN_CHUNK block
+        # takes two of them and 131,072 steps
         monkeypatch.delitem(sys.modules, "scipy.special")
         monkeypatch.setattr(ts, "_usable_cpus", lambda: 1)
         sizes, port = [], cephes.ndtri
@@ -468,14 +478,14 @@ class TestPortMemory:
             traced_peak(lambda: run_ensemble(ref_config(n=n, seed=3), n_chains=1))
             for n in (2 * ts.SCAN_CHUNK, 3 * ts.SCAN_CHUNK)
         )
-        assert sizes == [196_608] * 5 + [65_536] + [196_608] * 8
+        assert sizes == [196_608, 196_608, 131_072] * 5
         assert abs(long - short) <= 1 << 20
 
     def test_jittered_chain_and_ks_scratch(self, monkeypatch, ref_config, ref_scheme):
         # simulate's jittered run through the ports: the record (samples and
-        # periods, 16 bytes a step) plus at most 8 MB (measured 6.0 MB: the
-        # chunk's noise and coefficients and the scan's two transposed
-        # copies, 1.5 MB each)
+        # periods, 16 bytes a step) plus at most 8 MB (measured 6.8 MB: the
+        # statistics' deviations of the 500,000-step block, 4 MB, beside the
+        # chunk's noise and coefficients, 1.5 MB each)
         monkeypatch.delitem(sys.modules, "scipy.special")
         n = 500_000
         cfg = ref_config(n=n, seed=3, jitter_std=0.05 * ref_scheme.t_M)

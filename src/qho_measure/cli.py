@@ -101,10 +101,7 @@ class RunConfig:
 
     @cached_property
     def chain(self) -> ChainConfig:
-        """The run's ChainConfig: chain_config() at first access, which resolve_config makes last."""
-        return self.chain_config()
-
-    def chain_config(self) -> ChainConfig:
+        """The run's ChainConfig, built from the fields at first access, which resolve_config makes last."""
         return ChainConfig(
             params=OscillatorParams(mass=self.mass, omega=self.omega, hbar=self.hbar),
             scheme=MeasurementScheme(t_M=self.t_m, sigma_M=self.sigma_m, jitter_std=self.jitter_std),

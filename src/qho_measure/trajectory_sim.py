@@ -20,8 +20,8 @@ RNG policy: PCG64 seeded through numpy SeedSequence; standard normals are
 produced by the inverse-CDF transform on uniforms so every sample consumes
 exactly one draw (no rejection loops in the record path). Draws made chunk
 by chunk are bit-identical to one whole-length draw. Ensembles split the
-seed with SeedSequence.spawn. The transform is Cephes ndtri, scipy's or its
-bit-identical numpy port in cephes (see _special).
+seed with SeedSequence.spawn. The transform is Cephes ndtri: scipy's when
+scipy can be imported, else its bit-identical port in cephes (see _special).
 
 Ensembles run their chains on several threads (see run_ensemble): the heavy
 kernels (PCG64 draws, scipy's ndtri, the lane scan's row ufuncs,
@@ -68,9 +68,9 @@ SCAN_WARMUP_MARGIN = 64
 # With fewer lanes side by side, the lane scan is no faster than the loop.
 SCAN_MIN_LANES = 32
 
-# Runs of more values through ndtri or ndtr import scipy.special. For fewer,
-# its import (about 0.3 s) costs more than the numpy ports in cephes add
-# (about 110 ns a value for ndtri, 100 ns for ndtr).
+# Runs of more values through ndtri or ndtr import scipy.special if they can.
+# For fewer, its import (about 0.3 s) costs more than the numpy ports in cephes
+# add (about 110 ns a value for ndtri, 100 ns for ndtr).
 PORT_MAX_VALUES = 2_000_000
 
 # normality_statistic takes the CDF of its sorted sample this many values at
@@ -176,11 +176,14 @@ class RunningStats:
 
 def _special(count: int):
     """The ndtri and ndtr for a run of count values: scipy.special's where it
-    is loaded already or count exceeds PORT_MAX_VALUES, else the ports in
-    cephes. Both give the same bits."""
+    is loaded already, or where count exceeds PORT_MAX_VALUES and scipy can
+    be imported; else the ports in cephes. Both give the same bits."""
     if count > PORT_MAX_VALUES or "scipy.special" in sys.modules:
-        from scipy import special
-        return special
+        try:
+            from scipy import special
+            return special
+        except ImportError:
+            pass
     from . import cephes
     return cephes
 

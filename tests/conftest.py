@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from qho_measure import (
-    ChainConfig,
-    MeasurementScheme,
-    OscillatorParams,
-    WavePacket,
-)
+from qho_measure.chain_analytics import MeasurementScheme
+from qho_measure.gaussian_core import OscillatorParams, WavePacket
+from qho_measure.trajectory_sim import ChainConfig
 
 # Reference setup used throughout: omega = 0.707, measure every T/5 with
 # sigma_M = 0.5, starting from the ground state at the origin.

@@ -18,35 +18,36 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import spearmanr
 
-from qho_measure import (
+from qho_measure.chain_analytics import (
     ChainClosedForm,
-    ChainConfig,
-    CollapseMode,
-    Gaussian,
-    LeakageError,
     MeasurementScheme,
     NondimPoint,
-    OscillatorParams,
-    WavePacket,
     density_before_nth,
     ensemble_variance_partial,
-    evolved_density,
-    evolved_width,
-    gaussian_product,
-    init_packet,
-    ks_critical_1pct,
     limiting_sigma,
     limiting_sigma_simplified,
     nondim_limit,
-    normality_statistic,
     povm_parameters,
+)
+from qho_measure.errors import LeakageError
+from qho_measure.gaussian_core import (
+    Gaussian,
+    OscillatorParams,
+    WavePacket,
+    evolved_density,
+    evolved_width,
+    gaussian_product,
+)
+from qho_measure.trajectory_sim import (
+    ChainConfig,
+    ks_critical_1pct,
+    normality_statistic,
     run_chain,
-    run_chain_grid,
     run_chain_jittered,
     thinning_interval,
 )
 from qho_measure.cli import main as cli_main
-from qho_measure.grid_oracle import Grid, evolve
+from qho_measure.grid_oracle import CollapseMode, Grid, evolve, init_packet, run_chain_grid
 from qho_measure import validation
 from qho_measure.validation import check_two_step_quadrature, two_step_std_quadrature
 

@@ -1,10 +1,15 @@
 """The numpy ports of Cephes ndtri and ndtr against scipy.special's, bit for bit."""
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special
 
+import qho_measure
 from qho_measure import cephes
 
 
@@ -88,3 +93,17 @@ def test_ndtr_non_finite():
     got = cephes.ndtr(xs)
     assert_same_bits(got[:4], special.ndtr(xs[:4]))
     assert math.isnan(got[4])
+
+
+def test_import_loads_no_other_package_module():
+    # a fresh interpreter's import of the ports loads the package and cephes alone
+    src = os.path.dirname(os.path.dirname(qho_measure.__file__))
+    script = (
+        "import json, sys, qho_measure.cephes\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'qho_measure')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert json.loads(done.stdout) == ["qho_measure", "qho_measure.cephes"]

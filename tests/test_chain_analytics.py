@@ -4,27 +4,21 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qho_measure import (
+from qho_measure.chain_analytics import (
     ChainClosedForm,
-    DomainError,
-    Gaussian,
+    EPS_RES,
     MeasurementScheme,
     NondimPoint,
-    OscillatorParams,
-    PrecisionError,
-    ResonanceError,
-    WavePacket,
     density_before_nth,
     ensemble_variance_partial,
-    evolved_width,
-    gaussian_product,
     limiting_sigma,
     limiting_sigma_simplified,
     nondim_limit,
     optimal_precision,
     povm_parameters,
 )
-from qho_measure.chain_analytics import EPS_RES
+from qho_measure.errors import DomainError, PrecisionError, ResonanceError
+from qho_measure.gaussian_core import Gaussian, OscillatorParams, WavePacket, evolved_width, gaussian_product
 from qho_measure.trajectory_sim import ar1_scan
 from conftest import REF_SIGMA_INF
 

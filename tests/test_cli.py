@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import qho_measure
-from qho_measure import ChainClosedForm, cli
+from qho_measure import cli
+from qho_measure.chain_analytics import ChainClosedForm
 from qho_measure.cli import RunConfig, main
 from conftest import REF_SIGMA_INF
 
@@ -377,20 +378,20 @@ def test_simulate_out_of_memory_names_n(tmp_path, monkeypatch, capsys):
 
 @pytest.fixture
 def setup_counts(monkeypatch):
-    """The ChainConfigs RunConfig.chain_config() builds and the setups
-    ChainClosedForm.from_setup derives a closed form for, as they happen."""
+    """The ChainConfigs the CLI builds and the setups ChainClosedForm.from_setup
+    derives a closed form for, as they happen."""
     built, derived = [], []
-    chain_config, from_setup = RunConfig.chain_config, ChainClosedForm.from_setup.__func__
+    chain_config, from_setup = cli.ChainConfig, ChainClosedForm.from_setup.__func__
 
-    def counting_chain_config(self):
-        built.append(chain_config(self))
+    def counting_chain_config(*args, **kwargs):
+        built.append(chain_config(*args, **kwargs))
         return built[-1]
 
     def counting_from_setup(cls, params, scheme, initial):
         derived.append((params, scheme, initial))
         return from_setup(cls, params, scheme, initial)
 
-    monkeypatch.setattr(RunConfig, "chain_config", counting_chain_config)
+    monkeypatch.setattr(cli, "ChainConfig", counting_chain_config)
     monkeypatch.setattr(ChainClosedForm, "from_setup", classmethod(counting_from_setup))
     return built, derived
 

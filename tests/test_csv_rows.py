@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qho_measure import cli, run_chain
+from qho_measure import cli
+from qho_measure.trajectory_sim import run_chain
 from qho_measure.csv_rows import float_fields, sample_rows
 
 
@@ -93,7 +94,7 @@ def test_samples_csv_matches_row_format(tmp_path, n, jittered):
         argv += ["--jitter-std", "0.01"]
     assert cli.main(argv) == 0
     cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
-    record, _ = run_chain(cfg.chain_config())
+    record, _ = run_chain(cfg.chain)
     if jittered:
         t_eff = map(repr, record.periods.tolist())
     else:

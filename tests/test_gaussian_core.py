@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qho_measure import (
+from qho_measure.gaussian_core import (
     Gaussian,
     OscillatorParams,
     WavePacket,

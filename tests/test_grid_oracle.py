@@ -3,25 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from qho_measure import (
-    ChainConfig,
+from qho_measure.chain_analytics import ChainClosedForm, MeasurementScheme, limiting_sigma
+from qho_measure.errors import DomainError, GridTooCoarse, GridTooSmall, LeakageError
+from qho_measure.gaussian_core import OscillatorParams, WavePacket, evolved_density
+from qho_measure.grid_oracle import (
     CollapseMode,
-    DomainError,
     Grid,
-    GridTooCoarse,
-    GridTooSmall,
-    LeakageError,
-    MeasurementScheme,
-    OscillatorParams,
-    WavePacket,
+    GridWavefunction,
+    _sample_from_density,
+    _sweep,
+    default_grid_for,
     evolve,
-    evolved_density,
     init_packet,
-    limiting_sigma,
     measure_and_collapse,
     run_chain_grid,
 )
-from qho_measure.grid_oracle import GridWavefunction, _sample_from_density, _sweep, default_grid_for
+from qho_measure.trajectory_sim import ChainConfig
 
 
 class TestGrid:
@@ -256,8 +253,6 @@ class TestRunChainGrid:
         assert np.array_equal(a.samples, b.samples)
 
     def test_replace_chain_std_near_limit(self):
-        from qho_measure import ChainClosedForm
-
         cfg = self._cfg(2500)
         record = run_chain_grid(cfg)
         cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
@@ -302,8 +297,6 @@ class TestRunChainGrid:
 
     def test_default_grid_spans_limit(self):
         cfg = self._cfg(10)
-        from qho_measure import ChainClosedForm
-
         cf = ChainClosedForm.from_setup(cfg.params, cfg.scheme, cfg.initial)
         grid = default_grid_for(cfg)
         assert grid.x_max >= 8 * limiting_sigma(cf)

@@ -15,18 +15,13 @@ from scipy.special import ndtri
 
 import qho_measure
 import qho_measure.trajectory_sim as ts
-from qho_measure import cephes
-from qho_measure import (
-    ChainClosedForm,
+from qho_measure import cephes, cli
+from qho_measure.chain_analytics import ChainClosedForm, MeasurementScheme, density_before_nth
+from qho_measure.errors import DomainError, InsufficientSamples, ResonanceError
+from qho_measure.gaussian_core import OscillatorParams, WavePacket, evolved_width
+from qho_measure.trajectory_sim import (
     ChainConfig,
-    DomainError,
-    InsufficientSamples,
-    MeasurementScheme,
-    ResonanceError,
     RunningStats,
-    WavePacket,
-    density_before_nth,
-    evolved_width,
     ks_critical_1pct,
     normality_statistic,
     run_chain,
@@ -503,7 +498,9 @@ class TestPortMemory:
 # of more than PORT_MAX_VALUES (lowered to 1000) values loads it
 FRESH_ENSEMBLES = """
 import json, sys
-from qho_measure import ChainConfig, MeasurementScheme, OscillatorParams, WavePacket
+from qho_measure.chain_analytics import MeasurementScheme
+from qho_measure.gaussian_core import OscillatorParams, WavePacket
+from qho_measure.trajectory_sim import ChainConfig
 import qho_measure.trajectory_sim as ts
 ts.PORT_MAX_VALUES = 1000
 p = OscillatorParams(1.0, 0.707, 1.0)
@@ -513,6 +510,30 @@ for n, chains, jitter in ((500, 2, 0.0), (250, 2, 0.01), (501, 2, 0.0)):
     ts.run_ensemble(ChainConfig(p, scheme, WavePacket(0.0, p.sigma_gs), n, 1), chains)
     loaded.append("scipy.special" in sys.modules)
 print(json.dumps(loaded))
+"""
+
+
+# run in a fresh interpreter that cannot import scipy, with PORT_MAX_VALUES
+# lowered to 1000: runs above the count take the ports too
+NUMPY_ONLY = """
+import json, sys
+sys.modules["scipy"] = None
+from qho_measure import cephes, cli
+from qho_measure.chain_analytics import MeasurementScheme
+from qho_measure.gaussian_core import OscillatorParams, WavePacket
+from qho_measure.trajectory_sim import ChainConfig
+import qho_measure.trajectory_sim as ts
+ts.PORT_MAX_VALUES = 1000
+out, ensembles = sys.argv[1], []
+for jitter in ("0", "0.01"):
+    if cli.main(["simulate", "--n", "1100", "--jitter-std", jitter, "--seed", "4", "--out", f"{out}/{jitter}"]):
+        sys.exit("simulate failed")
+p = OscillatorParams(1.0, 0.707, 1.0)
+for n, jitter in ((600, 0.0), (300, 0.01)):
+    scheme = MeasurementScheme(0.2 * p.period, 0.5, jitter)
+    s = ts.run_ensemble(ChainConfig(p, scheme, WavePacket(0.0, p.sigma_gs), n, 1), 2)
+    ensembles.append([s.count, s.mean, s.variance, s.counts.tolist()])
+print(json.dumps({"ports_above_count": ts._special(ts.PORT_MAX_VALUES + 1) is cephes, "ensembles": ensembles}))
 """
 
 
@@ -534,6 +555,29 @@ class TestBackendChooser:
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert json.loads(done.stdout) == [False, False, True]
+
+    def test_numpy_only_interpreter_gives_scipys_bits(self, tmp_path):
+        # without scipy, runs above the count take the ports; this process
+        # has scipy.special loaded, so its runs take scipy's
+        src = str(os.path.dirname(os.path.dirname(qho_measure.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY, str(tmp_path / "numpy_only")], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        got = json.loads(done.stdout.splitlines()[-1])
+        assert got["ports_above_count"]
+        for jitter in ("0", "0.01"):
+            out = tmp_path / "scipy" / jitter
+            assert cli.main(["simulate", "--n", "1100", "--jitter-std", jitter, "--seed", "4", "--out", str(out)]) == 0
+            for name in ("samples.csv", "running_std.csv", "histogram.csv"):
+                assert (tmp_path / "numpy_only" / jitter / name).read_bytes() == (out / name).read_bytes()
+        p = OscillatorParams(1.0, 0.707, 1.0)
+        want = []
+        for n, jitter in ((600, 0.0), (300, 0.01)):
+            scheme = MeasurementScheme(0.2 * p.period, 0.5, jitter)
+            s = run_ensemble(ChainConfig(p, scheme, WavePacket(0.0, p.sigma_gs), n, 1), 2)
+            want.append([s.count, s.mean, s.variance, s.counts.tolist()])
+        assert got["ensembles"] == want
 
 
 class TestNormality:

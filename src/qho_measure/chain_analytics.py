@@ -148,11 +148,11 @@ def limiting_sigma(cf: ChainClosedForm) -> float:
     return cf.sigma_inf
 
 
-def _phase(angle: float) -> float:
+def _phase(angle: float, name: str = "omega t_M") -> float:
     """angle; DomainError from 2^23 rad, where its float spacing exceeds EPS_RES and
     so rounding, not the setup, decides |sin(angle)| <= EPS_RES."""
     if math.ulp(angle) > EPS_RES:
-        raise DomainError(f"omega t_M = {angle!r} rad is set by rounding: its float spacing exceeds {EPS_RES}")
+        raise DomainError(f"{name} = {angle!r} rad is set by rounding: its float spacing exceeds {EPS_RES}")
     return angle
 
 

@@ -15,17 +15,15 @@ _write, which removes the files already written when a write fails, and
 prints once every file is written: a stdout closed by its reader loses the
 lines, not the run's exit code.
 
-Exit codes: 0 success, 2 validation failure, 3 configuration error (a
-malformed, non-finite or out-of-range value, whether from a flag, the config
-file or QHO_SEED; a usage error; an --out that cannot be written; jitter
-with the grid engine, or in analyze, sweep or validate, which model
-unjittered chains; weak collapse with the chain engine, or in analyze,
-sweep or validate, which model replace chains), 4 resonance (including a
-rho = cos(omega t_M) that rounds to +-1), a t_M so long that
-rounding sets the phase omega t_M (from 2^23 rad), a setup whose numbers
-leave float range, a grid setup whose default grid is too coarse or too
-short for its packets, or a weak grid setup whose initial packet is not
-wider than the instrument at the first measurement.
+Exit codes, for errors found before the run or during it: 0 success; 2 a
+failing validate battery, nothing else; 3 a bad input, which is a ConfigError
+(a malformed, non-finite or out-of-range value from a flag, the config file
+or QHO_SEED, a usage error, or a weak collapse or jitter the command does not
+sample), a MemoryError, or an OSError (an --out that cannot be written); 4
+every other package error (QhoError) and ArithmeticError: resonance, or a
+setup outside the closed forms' domain, float range or its default grid.
+E.g. analyze --jitter-std 0.5 exits 3; analyze --tau-m 0.5 exits 4, and so
+does simulate --engine grid --collapse weak --n 300, which leaves its grid.
 """
 from __future__ import annotations
 
@@ -65,7 +63,7 @@ from .validation import run_battery
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONFIG = 3
-EXIT_RESONANCE = 4
+EXIT_DOMAIN = 4
 
 CSV_VERSION = "v1"
 # samples.csv is formatted and written this many rows at a time; the
@@ -236,10 +234,13 @@ def _csv(kind: str, header: str, chunks):
 
 
 def _refuse_unmodelled(cfg: RunConfig, command: str) -> None:
-    """ConfigError for a weak collapse or jitter: command models unjittered replace chains only."""
-    if cfg.collapse == "weak":
+    """ConfigError for a weak collapse or jitter that command does not sample: only
+    simulate --engine grid samples weak chains, only simulate --engine chain jittered ones."""
+    engine = cfg.engine if command == "simulate" else None
+    command += f" --engine {engine}" if engine else ""
+    if cfg.collapse == "weak" and engine != "grid":
         raise ConfigError(f"--collapse weak: {command} models replace chains only")
-    if cfg.jitter_std != 0.0:
+    if cfg.jitter_std != 0.0 and engine != "chain":
         raise ConfigError(f"--jitter-std: {command} models unjittered chains only")
 
 
@@ -286,10 +287,7 @@ def _running_std_checkpoints(n: int) -> list[int]:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace):
-    if cfg.engine == "grid" and cfg.jitter_std != 0.0:
-        raise ConfigError("--jitter-std is not supported by --engine grid")
-    if cfg.engine == "chain" and cfg.collapse == "weak":
-        raise ConfigError("--collapse weak needs --engine grid: the chain engine samples replace chains only")
+    _refuse_unmodelled(cfg, "simulate")
     cf = cfg.chain.closed_form
     sigma_inf = cf.sigma_inf
     if cfg.engine == "grid":
@@ -501,19 +499,16 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError:  # --n sizes the chain of simulate and validate only
-        hint = "; lower --n" if getattr(args, "command", None) in ("simulate", "validate") else ""
+    except MemoryError:  # --n sizes the record of simulate only: validate's chain streams
+        hint = "; lower --n" if getattr(args, "command", None) == "simulate" else ""
         print(f"configuration error: not enough memory for this run{hint}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # reading the config file is a ConfigError already
         print(f"configuration error: cannot write the outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ResonanceError, DomainError, ArithmeticError) as exc:
+    except (QhoError, ArithmeticError) as exc:  # every other package error: the setup, not its input
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RESONANCE
-    except QhoError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_DOMAIN
     with contextlib.suppress(BrokenPipeError):
         for line in lines:
             print(line, flush=True)

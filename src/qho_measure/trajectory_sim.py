@@ -40,12 +40,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_analytics import ChainClosedForm, MeasurementScheme
+from .chain_analytics import ChainClosedForm, MeasurementScheme, _phase
 from .errors import InsufficientSamples, ResonanceError
 from .gaussian_core import OscillatorParams, WavePacket, evolved_width
 
 # Floor on jittered evolution times, as a fraction of the nominal period.
 T_MIN_FRACTION = 1e-6
+# Above ndtri(1 - 2^-53) = 8.2095: uniforms are below 1, so no normal drawn exceeds it.
+NORMAL_MAX = 8.21
 
 # Thinned chain output keeps at most this much lag-k correlation.
 THINNING_THRESHOLD = 0.05
@@ -288,6 +290,8 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
         raise ResonanceError(
             f"t_M = {scheme.t_M} resonant: chain variance diverges without jitter"
         )
+    if jittered:  # before any draw: rounding must not set the phase of the longest period
+        _phase(params.omega * (scheme.t_M + NORMAL_MAX * scheme.jitter_std), "omega (t_M + 8.21 --jitter-std)")
     # a resonant chain has no limiting width; its histogram takes a generous one
     scale = 10.0 * max(cf.sigma_first, cf.sigma_step, params.sigma_gs) if resonant else cf.sigma_inf
     stats = RunningStats.for_scale(scale)
@@ -329,15 +333,15 @@ def _run_chain_seeded(cfg: ChainConfig, seed_seq: np.random.SeedSequence, keep: 
     return (MeasurementRecord(samples=x, periods=periods) if keep else None), stats
 
 
-def run_chain(cfg: ChainConfig) -> tuple[MeasurementRecord, RunningStats]:
+def run_chain(cfg: ChainConfig, keep: bool = True) -> tuple[MeasurementRecord | None, RunningStats]:
     """Simulate the exact measurement chain; deterministic given cfg.seed.
 
     With jitter_std > 0 each step evolves for t_i = max(t_min, t_M +
     jitter_std * eta), with the memory coefficient and step width recomputed
     for t_i, and the record carries the periods. Only such a chain may have
-    a resonant t_M.
+    a resonant t_M. Without keep the record is None: memory does not grow with n.
     """
-    return _run_chain_seeded(cfg, np.random.SeedSequence(cfg.seed))
+    return _run_chain_seeded(cfg, np.random.SeedSequence(cfg.seed), keep=keep)
 
 
 # a second name, kept for perfbench's chain_ensemble, which calls it

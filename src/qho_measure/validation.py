@@ -111,7 +111,7 @@ def check_spectral_convergence(params: OscillatorParams, grid: Grid) -> CheckRes
 
 def check_chain_vs_limit(cfg: ChainConfig) -> CheckResult:
     target = limiting_sigma(cfg.closed_form)
-    _, stats = run_chain(cfg)
+    _, stats = run_chain(cfg, keep=False)
     return _result(
         "chain_vs_sigma_inf",
         abs(stats.std / target - 1.0),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,16 @@ from qho_measure.trajectory_sim import ChainConfig
 # Reference setup used throughout: omega = 0.707, measure every T/5 with
 # sigma_M = 0.5, starting from the ground state at the origin.
 REF_SIGMA_INF = 1.4237265835521664
+
+
+def traced_peak(call) -> int:
+    """Peak traced allocation, in bytes, while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -546,6 +546,26 @@ BAD_INPUTS = [
     (["simulate", "--tau-m", "1e-9", "--n", "1000"], None, None, 4),
     # the battery checks unjittered replace chains
     (["validate", "--collapse", "weak", "--n", "2000"], None, None, 3),
+    # no period exceeds t_M + 8.21 jitter_std, and rounding sets its phase
+    (["simulate", "--n", "100", "--jitter-std", "1e300"], None, None, 4),
+    # a config file that is not a JSON object of known keys with valid values
+    (["analyze"], [1], None, 3),
+    (["analyze"], {"bogus": 1}, None, 3),
+    (["analyze"], {"out": 5}, None, 3),
+    (["sweep", "--sweep-tau", "0.1", "0.4", "1"], None, None, 3),
+    # values outside their field's range
+    (["analyze", "--tau-m", "-0.2"], None, None, 3),
+    (["analyze", "--sigma-m", "0"], None, None, 3),
+    (["simulate", "--n", "10", "--jitter-std", "-1"], None, None, 3),
+    (["analyze", "--mass", "0"], None, None, 3),
+    (["analyze", "--sigma-x0", "0"], None, None, 3),
+    (["simulate", "--n", "0"], None, None, 3),
+    (["simulate", "--n", "10", "--seed", "-1"], None, None, 3),
+    # grid setups that fail during the run exit as those refused before it:
+    # the weak chain heats the oscillator and leaves its grid at step 115, and
+    # a replacement packet centred on an outcome does not fit the default grid
+    (["simulate", "--engine", "grid", "--collapse", "weak", "--n", "300"], None, None, 4),
+    (["simulate", "--engine", "grid", "--tau-m", "0.5", "--varsigma-m", "1.2", "--n", "50"], None, None, 4),
 ]
 
 
@@ -575,6 +595,15 @@ def test_bad_input_exit_code(tmp_path, capsys, monkeypatch, argv, config, env_se
     for path in tmp_path.rglob("*.json"):
         text = path.read_text()
         assert "NaN" not in text and "Infinity" not in text
+
+
+def test_unparseable_config_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{")
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def field_values(f):

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from qho_measure.chain_analytics import ChainClosedForm, MeasurementScheme, dens
 from qho_measure.errors import DomainError, InsufficientSamples, ResonanceError
 from qho_measure.gaussian_core import OscillatorParams, WavePacket, evolved_width
 from qho_measure.trajectory_sim import (
+    NORMAL_MAX,
     ChainConfig,
     RunningStats,
     ks_critical_1pct,
@@ -29,7 +29,7 @@ from qho_measure.trajectory_sim import (
     run_ensemble,
     thinning_interval,
 )
-from conftest import REF_SIGMA_INF
+from conftest import REF_SIGMA_INF, traced_peak
 
 
 class TestRunChain:
@@ -105,6 +105,29 @@ class TestRunChainJittered:
         assert np.all(record.periods > 0)
         se = jitter / math.sqrt(500)
         assert abs(np.mean(record.periods) - ref_scheme.t_M) < 4 * se
+
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_refuses_a_longest_period_whose_phase_is_rounding(self, ref_config, ref_params, ref_scheme, side):
+        # no period exceeds t_M + NORMAL_MAX jitter_std; from 2^23 rad
+        # rounding sets the phase of omega times it
+        jitter_std = side * (2**23 / ref_params.omega - ref_scheme.t_M) / NORMAL_MAX
+        cfg = ref_config(n=10, jitter_std=jitter_std)
+        if side < 1:
+            assert len(run_chain(cfg)[0].periods) == 10
+        else:
+            with pytest.raises(DomainError, match="--jitter-std"):
+                run_chain(cfg)
+
+    def test_largest_normal_drawn(self):
+        assert ndtri(1.0 - 2.0**-53) < NORMAL_MAX
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_unkept_chain_gives_the_same_statistics(self, ref_config, ref_scheme, jitter):
+        cfg = ref_config(n=ts.SCAN_CHUNK + 1000, seed=3, jitter_std=jitter * ref_scheme.t_M)
+        (_, kept), (record, unkept) = run_chain(cfg), run_chain(cfg, keep=False)
+        assert record is None
+        assert (kept.count, kept.mean.hex(), kept.variance.hex()) == (unkept.count, unkept.mean.hex(), unkept.variance.hex())
+        assert np.array_equal(kept.counts, unkept.counts)
 
     def test_jitter_regularizes_resonance(self, ref_params, ref_packet):
         # exactly resonant mean period, but jitter keeps each step off
@@ -406,16 +429,6 @@ class TestMultiChunkChain:
         for got, want in zip(stats, forced_stats):
             assert (got.count, got.mean.hex(), got.variance.hex()) == (want.count, want.mean.hex(), want.variance.hex())
             assert np.array_equal(got.counts, want.counts)
-
-
-def traced_peak(call) -> int:
-    """Peak traced allocation, in bytes, while call() runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestChainMemory:

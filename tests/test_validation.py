@@ -8,6 +8,7 @@ from qho_measure import trajectory_sim as ts
 from qho_measure import validation
 from qho_measure.grid_oracle import default_grid_for
 from qho_measure.validation import CheckResult, run_battery
+from conftest import traced_peak
 
 # run_battery's checks, by the module attribute each one is looked up under
 CHECKS = {
@@ -95,3 +96,12 @@ class TestRunBattery:
         before = threading.active_count()
         run_battery(*setup)
         assert threading.active_count() == before
+
+
+def test_chain_check_peak_does_not_grow_with_n(ref_config):
+    # the check reads only the chain's statistics, so it keeps no record;
+    # the untraced run warms the chain's code paths and imports the backend
+    # that 2^21 normals take (scipy.special, above PORT_MAX_VALUES)
+    validation.check_chain_vs_limit(ref_config(n=1 << 21))
+    short, long = (traced_peak(lambda: validation.check_chain_vs_limit(ref_config(n=n, seed=3))) for n in (1 << 19, 1 << 21))
+    assert long <= short + (1 << 20)

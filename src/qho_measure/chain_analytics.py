@@ -5,12 +5,14 @@ sigma_M; free harmonic evolution until the next measurement turns the
 outcome sequence into a linear Gaussian chain with memory coefficient
 rho = cos(omega t_M). This module carries the per-measurement densities,
 the limiting width, its non-dimensional form, and the weak-measurement
-(POVM) reformulation of the collapse.
+(POVM) reformulation of the collapse. ChainConfig, a chain's whole setup,
+lives here with the closed form it derives.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, PrecisionError, ResonanceError
 from .gaussian_core import (
@@ -100,6 +102,26 @@ class ChainClosedForm:
         """Limiting outcome width |sigma(t_M)/sin(omega t_M)|; None at
         resonance, where the chain diverges."""
         return None if _resonant(self.sin_abs, self.rho) else self.sigma_step / self.sin_abs
+
+
+@dataclass(frozen=True)
+class ChainConfig:
+    params: OscillatorParams
+    scheme: MeasurementScheme
+    initial: WavePacket
+    n_measurements: int
+    seed: int
+
+    def __post_init__(self):
+        if self.n_measurements < 1:
+            raise ValueError("n_measurements must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+    @cached_property
+    def closed_form(self) -> ChainClosedForm:
+        """ChainClosedForm.from_setup of this setup, derived once; a DomainError is not cached."""
+        return ChainClosedForm.from_setup(self.params, self.scheme, self.initial)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ every other package error (QhoError) and ArithmeticError: resonance, or a
 setup outside the closed forms' domain, float range or its default grid.
 E.g. analyze --jitter-std 0.5 exits 3; analyze --tau-m 0.5 exits 4, and so
 does simulate --engine grid --collapse weak --n 300, which leaves its grid.
+
+Importing this module loads no numpy, which takes longer than analyze's and
+sweep's closed forms: each command imports only what it computes with.
 """
 from __future__ import annotations
 
@@ -33,13 +36,13 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from .chain_analytics import (
+    ChainConfig,
     MeasurementScheme,
     NondimPoint,
     limiting_sigma,
@@ -47,18 +50,8 @@ from .chain_analytics import (
     nondim_limit,
     optimal_precision,
 )
-from .csv_rows import sample_rows
 from .errors import ConfigError, DomainError, QhoError, ResonanceError
 from .gaussian_core import Gaussian, OscillatorParams, WavePacket
-from .grid_oracle import CollapseMode, default_grid_for, run_chain_grid
-from .trajectory_sim import (
-    ChainConfig,
-    RunningStats,
-    normality_statistic,
-    run_chain,
-    thinning_interval,
-)
-from .validation import run_battery
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -279,18 +272,28 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace):
 
 # --------------------------------------------------------------- simulate
 
-def _running_std_checkpoints(n: int) -> list[int]:
-    if n <= 200:
-        return list(range(1, n + 1))
-    pts = np.unique(np.geomspace(1, n, 200).round().astype(int))
-    return sorted(set(pts.tolist()) | {n})
+def _running_std(samples) -> list[tuple[int, float | None]]:
+    """(k, np.std of the first k samples) at about 200 k up to len(samples),
+    None for k = 1. Each std is taken in pieces (prefix_std), so no scratch
+    is as large as the record."""
+    import numpy as np
+    from .trajectory_sim import prefix_std
+    n = len(samples)
+    ks = range(1, n + 1)
+    if n > 200:
+        ks = sorted(set(np.unique(np.geomspace(1, n, 200).round().astype(int)).tolist()) | {n})
+    return [(k, prefix_std(samples[:k]) if k > 1 else None) for k in ks]
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace):
     _refuse_unmodelled(cfg, "simulate")
+    import numpy as np
+    from .csv_rows import sample_rows
+    from .trajectory_sim import RunningStats, normality_statistic, run_chain, thinning_interval
     cf = cfg.chain.closed_form
     sigma_inf = cf.sigma_inf
     if cfg.engine == "grid":
+        from .grid_oracle import CollapseMode, run_chain_grid
         record = run_chain_grid(cfg.chain, mode=CollapseMode(cfg.collapse))
         stats = RunningStats.for_scale(sigma_inf if sigma_inf else 10 * cfg.chain.params.sigma_gs)
         stats.push_array(record.samples)
@@ -301,7 +304,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace):
         raise DomainError("the chain overflowed to non-finite outcomes; no files written")
 
     # every statistic is computed before a file is created
-    running = [(k, float(np.std(samples[:k])) if k > 1 else None) for k in _running_std_checkpoints(len(samples))]
+    running = _running_std(samples)
     for k, std in running:  # finite outcomes whose squares overflow
         if std is not None and not math.isfinite(std):
             raise DomainError(f"the std of the first {k} outcomes overflows; no files written")
@@ -356,7 +359,12 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace):
 
 # ------------------------------------------------------------------ sweep
 
-def _axis(flag: str, triple, log: bool) -> np.ndarray:
+def _axis(flag: str, triple, log: bool, default: float) -> array:
+    """The axis's points, 8 bytes each, or [default] without the flag. A
+    linear axis has np.linspace's bits without numpy: i * step + lo,
+    (i / div) * delta + lo where step underflows to 0, and hi last."""
+    if triple is None:
+        return array("d", [default])
     lo, hi = (_parse(_finite, flag, v) for v in triple[:2])
     count = _parse(_integer, flag, triple[2])
     if count < 2:
@@ -364,8 +372,16 @@ def _axis(flag: str, triple, log: bool) -> np.ndarray:
     if log:
         if min(lo, hi) <= 0:
             raise ConfigError("log-spaced sweep axis needs positive bounds")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+        import numpy as np
+        with np.errstate(all="ignore"):
+            return array("d", np.geomspace(lo, hi, count).tobytes())
+    div, delta = count - 1, hi - lo
+    step = delta / div  # inf where delta overflows: point 0 is 0 * inf + lo, NaN
+    points = array("d", [0.0]) * count  # allocated at once, as np.linspace's
+    for i in range(div):
+        points[i] = (i * step if step else i / div * delta) + lo
+    points[div] = hi
+    return points
 
 
 def _sweep_row(vs: float, tau: float) -> bytes:
@@ -382,18 +398,10 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace):
     _refuse_unmodelled(cfg, "sweep")
     if args.sweep_varsigma is None and args.sweep_tau is None:
         raise ConfigError("sweep needs --sweep-varsigma and/or --sweep-tau")
-    vs_axis = (
-        _axis("--sweep-varsigma", args.sweep_varsigma, args.log_varsigma)
-        if args.sweep_varsigma is not None
-        else np.array([cfg.varsigma_m])
-    )
-    tau_axis = (
-        _axis("--sweep-tau", args.sweep_tau, args.log_tau)
-        if args.sweep_tau is not None
-        else np.array([cfg.tau_m])
-    )
+    vs_axis = _axis("--sweep-varsigma", args.sweep_varsigma, args.log_varsigma, cfg.varsigma_m)
+    tau_axis = _axis("--sweep-tau", args.sweep_tau, args.log_tau, cfg.tau_m)
     # row by row: memory does not grow with the axes
-    rows = (_sweep_row(float(vs), float(tau)) for tau in tau_axis for vs in vs_axis)
+    rows = (_sweep_row(vs, tau) for tau in tau_axis for vs in vs_axis)
     files = {"sweep.csv": _csv("sweep", "varsigma_M,tau_M,varsigma_inf,flag", rows)}
     return files, [f"wrote {Path(cfg.out) / 'sweep.csv'}"], EXIT_OK
 
@@ -402,6 +410,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace):
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace):
     _refuse_unmodelled(cfg, "validate")
+    from .grid_oracle import default_grid_for
+    from .validation import run_battery
     n_points = _parse(_integer, "--grid-n", args.grid_n)
     try:
         grid = default_grid_for(cfg.chain, n_points=n_points)
@@ -492,8 +502,13 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         # looked up at call time, so a rebound cmd_* module attribute is the one run
         command = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep, "validate": cmd_validate}
-        # overflow shows up as the commands' domain errors, not as warnings
-        with np.errstate(all="ignore"):
+        # overflow shows up as the commands' domain errors, not as warnings;
+        # sweep's closed form is pure Python, and it loads no numpy
+        errstate = contextlib.nullcontext()
+        if args.command != "sweep":
+            import numpy as np
+            errstate = np.errstate(all="ignore")
+        with errstate:
             files, lines, code = command[args.command](cfg, args)
             _write(Path(cfg.out), files)
     except ConfigError as exc:

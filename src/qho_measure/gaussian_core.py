@@ -3,14 +3,13 @@
 Everything here is exact algebra on normalized Gaussians: the evolved
 width/center of a Gaussian packet under harmonic dynamics, and products of
 Gaussian densities. All types are immutable values and all functions are
-pure.
+pure. numpy is imported by the functions that use it, so the CLI's import
+path (which loads this module) does not load numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,6 +24,7 @@ class Gaussian:
             raise ValueError(f"Gaussian std must be > 0, got {self.std}")
 
     def pdf(self, x):
+        import numpy as np
         z = (np.asarray(x, dtype=float) - self.mean) / self.std
         return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.std)
 
@@ -76,6 +76,7 @@ def evolved_width(params: OscillatorParams, sigma_x0, t):
 
     Accepts scalars or numpy arrays for sigma_x0 and t.
     """
+    import numpy as np
     sgs = params.sigma_gs
     sigma_x0 = np.asarray(sigma_x0, dtype=float)
     r4 = (sigma_x0 / sgs) ** 4

@@ -19,10 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_analytics import povm_parameters
+from .chain_analytics import ChainConfig, povm_parameters
 from .errors import DomainError, GridTooCoarse, GridTooSmall, LeakageError
 from .gaussian_core import Gaussian, OscillatorParams, WavePacket
-from .trajectory_sim import ChainConfig, MeasurementRecord
+from .trajectory_sim import MeasurementRecord
 
 DEFAULT_N_POINTS = 4096
 DEFAULT_STEPS_PER_PERIOD = 1024

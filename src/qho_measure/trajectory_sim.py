@@ -36,13 +36,12 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .chain_analytics import ChainClosedForm, MeasurementScheme, _phase
+from .chain_analytics import ChainConfig, _phase
 from .errors import InsufficientSamples, ResonanceError
-from .gaussian_core import OscillatorParams, WavePacket, evolved_width
+from .gaussian_core import evolved_width
 
 # Floor on jittered evolution times, as a fraction of the nominal period.
 T_MIN_FRACTION = 1e-6
@@ -79,25 +78,10 @@ PORT_MAX_VALUES = 2_000_000
 # a time, so its scratch beyond the sorted copy does not grow with the sample.
 KS_BLOCK = 1 << 16
 
-
-@dataclass(frozen=True)
-class ChainConfig:
-    params: OscillatorParams
-    scheme: MeasurementScheme
-    initial: WavePacket
-    n_measurements: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_measurements < 1:
-            raise ValueError("n_measurements must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-    @cached_property
-    def closed_form(self) -> ChainClosedForm:
-        """ChainClosedForm.from_setup of this setup, derived once; a DomainError is not cached."""
-        return ChainClosedForm.from_setup(self.params, self.scheme, self.initial)
+# np.add.reduce sums a contiguous float64 array pairwise, splitting n values
+# at n // 2 - (n // 2) % 8; prefix_std follows the split down to pieces of at
+# most STD_PIECE values, whose squared deviations are its only scratch.
+STD_PIECE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -455,3 +439,19 @@ def normality_statistic(samples: np.ndarray, sigma_target: float) -> float:
         d_plus = np.maximum(d_plus, np.max(i / n - cdf))  # a NaN stays, as in one np.max
         d_minus = np.maximum(d_minus, np.max(cdf - (i - 1) / n))
     return float(max(d_plus, d_minus))
+
+
+def _pairwise(x: np.ndarray, piece_sum) -> float:
+    """np.add.reduce's sum of x, as the sum of piece_sum(p) over its pieces p."""
+    if x.size <= STD_PIECE:
+        return piece_sum(x)
+    half = x.size // 2 - (x.size // 2) % 8
+    return _pairwise(x[:half], piece_sum) + _pairwise(x[half:], piece_sum)
+
+
+def prefix_std(x: np.ndarray) -> float:
+    """np.std(x) of a contiguous float64 array, bit for bit, with scratch of at
+    most two pieces of STD_PIECE values: np.std's squared deviations, summed
+    in pieces."""
+    mean = float(np.add.reduce(x)) / x.size
+    return math.sqrt(_pairwise(x, lambda piece: float(np.add.reduce(np.square(piece - mean)))) / x.size)

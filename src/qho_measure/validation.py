@@ -20,6 +20,7 @@ import numpy as np
 
 from .chain_analytics import (
     ChainClosedForm,
+    ChainConfig,
     MeasurementScheme,
     density_before_nth,
     ensemble_variance_partial,
@@ -34,7 +35,7 @@ from .gaussian_core import (
     gaussian_product,
 )
 from .grid_oracle import DEFAULT_STEPS_PER_PERIOD, CollapseMode, Grid, evolve, init_packet
-from .trajectory_sim import ChainConfig, _map_on_threads, run_chain
+from .trajectory_sim import _map_on_threads, run_chain
 
 # Each check passes when its measured error is at most its tolerance here.
 TOLERANCES = {

@@ -20,6 +20,7 @@ from scipy.stats import spearmanr
 
 from qho_measure.chain_analytics import (
     ChainClosedForm,
+    ChainConfig,
     MeasurementScheme,
     NondimPoint,
     density_before_nth,
@@ -39,7 +40,6 @@ from qho_measure.gaussian_core import (
     gaussian_product,
 )
 from qho_measure.trajectory_sim import (
-    ChainConfig,
     ks_critical_1pct,
     normality_statistic,
     run_chain,

@@ -10,13 +10,14 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qho_measure
-from qho_measure import cli
+from qho_measure import cli, trajectory_sim
 from qho_measure.chain_analytics import ChainClosedForm
 from qho_measure.cli import RunConfig, main
-from conftest import REF_SIGMA_INF
+from conftest import REF_SIGMA_INF, traced_peak
 
 REFERENCE_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "reference_sha256.json"
 
@@ -309,6 +310,27 @@ class TestSweep:
     def test_missing_axes_is_config_error(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("lo,hi,count", [
+        ("0.3", "1.2", "91"), ("0.05", "1.05", "81"), ("-3.7", "11.2", "301"), ("2", "3", "2"),
+        ("1.2", "0.3", "17"), ("0.7", "0.7", "5"), ("-0.0", "0.0", "3"),
+        ("-1e300", "1e300", "9"), ("1e300", "-1e300", "10"), ("1e300", "1.0000000000000002e300", "4"),
+        ("-1.5e308", "1.7e308", "6"), ("1.7e308", "-1.5e308", "3"),
+        ("5e-324", "1e-323", "7"), ("1e-300", "3e-300", "1000"),
+    ])
+    def test_linear_axis_has_linspace_bits(self, lo, hi, count):
+        axis = cli._axis("--sweep-tau", (lo, hi, count), False, None)
+        assert axis.typecode == "d" and len(axis) == int(count)
+        with np.errstate(all="ignore"):  # an overflowing hi - lo makes linspace's first point NaN
+            assert axis.tobytes() == np.linspace(float(lo), float(hi), int(count)).tobytes()
+
+    def test_axis_whose_span_overflows_flagged_domain(self, tmp_path):
+        # hi - lo overflows: the first point is 0 * inf + lo, NaN, as in np.linspace
+        out = tmp_path / "o"
+        lo = "-1" + "0" * 308  # -1e308, spelled so that argparse does not take it for a flag
+        assert main(["sweep", "--sweep-varsigma", lo, "1e308", "3", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [(r[0], r[2], r[3]) for r in rows] == [("nan", "", "domain"), ("inf", "", "domain"), ("1e+308", "", "domain")]
+
 
 class TestValidate:
     def test_battery_passes_on_defaults(self, tmp_path):
@@ -366,11 +388,23 @@ class TestValidate:
                 assert (c["margin"] <= 1.0) == c["passed"]
 
 
+def test_running_std_scratch_does_not_grow_with_the_record(rng):
+    # np.std of each prefix took a copy of it, 16 MiB for the last of 2^21
+    # samples; in pieces (trajectory_sim.prefix_std) the scratch is 256 KiB
+    samples = rng.standard_normal(1 << 21)
+    running = cli._running_std(samples)  # warms the code paths untraced
+    assert [(k, None if std is None else std.hex()) for k, std in running] == [
+        (k, float(np.std(samples[:k])).hex() if k > 1 else None) for k, _ in running
+    ]
+    assert running[-1][0] == samples.size and len(running) > 150
+    assert traced_peak(lambda: cli._running_std(samples)) <= 1 << 20
+
+
 def test_simulate_out_of_memory_names_n(tmp_path, monkeypatch, capsys):
     def no_memory(cfg):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "run_chain", no_memory)
+    monkeypatch.setattr(trajectory_sim, "run_chain", no_memory)  # cmd_simulate imports it when it runs
     assert main(["simulate", "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "configuration error: not enough memory for this run; lower --n\n"
     assert not (tmp_path / "o").exists()
@@ -663,23 +697,58 @@ def test_flag_names_unchanged(capsys):
         assert listed == common | own
 
 
-def loaded_scipy_modules(*argv):
-    """The scipy modules a fresh interpreter has loaded after importing the
-    CLI and, when argv is given, running it."""
+def fresh_run(*argv):
+    """The exit code (None without argv) and the loaded modules of a fresh
+    interpreter that imports the CLI and, when argv is given, runs it: every
+    scipy module, numpy, and the modules of the package."""
     script = (
         "import json, sys\n"
         "from qho_measure import cli\n"
         f"argv = {list(argv)!r}\n"
-        "if argv and cli.main(argv) != 0:\n"
-        "    sys.exit('command failed')\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "code = cli.main(argv) if argv else None\n"
+        "names = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy' or m.startswith('qho_measure.')]\n"
+        "print(json.dumps([code, sorted(names)]))\n"
     )
     src = str(Path(qho_measure.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
-    return json.loads(done.stdout.splitlines()[-1])
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def loaded_scipy_modules(*argv):
+    """The scipy modules a fresh interpreter has loaded after importing the
+    CLI and, when argv is given, running it."""
+    code, modules = fresh_run(*argv)
+    assert code in (None, 0)
+    return sorted(m for m in modules if m.split(".")[0] == "scipy")
+
+
+# what `import qho_measure.cli` loads: no numpy, no simulation module
+CLI_IMPORT = {"qho_measure.cli", "qho_measure.chain_analytics", "qho_measure.gaussian_core", "qho_measure.errors"}
+SIMULATE = {"numpy", "qho_measure.trajectory_sim", "qho_measure.csv_rows"}
+
+
+@pytest.mark.parametrize("argv,code,loads", [
+    ((), None, set()),
+    (("analyze",), 0, {"numpy"}),
+    (("sweep", "--sweep-tau", "0.05", "1.05", "81", "--sweep-varsigma", "0.3", "1.2", "91"), 0, set()),
+    (("sweep", "--sweep-tau", "0.1", "0.4", "3", "--sweep-varsigma", "0.1", "10", "3", "--log-varsigma"), 0,
+     {"numpy"}),
+    (("analyze", "--tau-m", "-0.2"), 3, set()),
+    (("sweep", "--sweep-tau", "0.1", "0.4", "3", "--collapse", "weak"), 3, set()),
+    (("simulate", "--n", "1000"), 0, SIMULATE | {"qho_measure.cephes"}),  # the chain's normals: cephes's ndtri
+    (("simulate", "--engine", "grid", "--n", "2"), 0, SIMULATE | {"qho_measure.grid_oracle"}),
+    (("validate", "--n", "2000"), 2, {"numpy", "qho_measure.trajectory_sim", "qho_measure.cephes",
+                                      "qho_measure.grid_oracle", "qho_measure.validation"}),
+], ids=["import", "analyze", "sweep", "log_sweep", "refused_analyze", "refused_sweep", "chain_simulate",
+        "grid_simulate", "validate"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, code, loads):
+    if argv:
+        argv = (*argv, "--out", str(tmp_path / "o"))
+    assert fresh_run(*argv) == (code, CLI_IMPORT | loads)
 
 
 @pytest.mark.parametrize(

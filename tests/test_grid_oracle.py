@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qho_measure.chain_analytics import ChainClosedForm, MeasurementScheme, limiting_sigma
+from qho_measure.chain_analytics import ChainClosedForm, ChainConfig, MeasurementScheme, limiting_sigma
 from qho_measure.errors import DomainError, GridTooCoarse, GridTooSmall, LeakageError
 from qho_measure.gaussian_core import OscillatorParams, WavePacket, evolved_density
 from qho_measure.grid_oracle import (
@@ -18,7 +18,6 @@ from qho_measure.grid_oracle import (
     measure_and_collapse,
     run_chain_grid,
 )
-from qho_measure.trajectory_sim import ChainConfig
 
 
 class TestGrid:

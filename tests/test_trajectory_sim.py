@@ -15,12 +15,11 @@ from scipy.special import ndtri
 import qho_measure
 import qho_measure.trajectory_sim as ts
 from qho_measure import cephes, cli
-from qho_measure.chain_analytics import ChainClosedForm, MeasurementScheme, density_before_nth
+from qho_measure.chain_analytics import ChainClosedForm, ChainConfig, MeasurementScheme, density_before_nth
 from qho_measure.errors import DomainError, InsufficientSamples, ResonanceError
 from qho_measure.gaussian_core import OscillatorParams, WavePacket, evolved_width
 from qho_measure.trajectory_sim import (
     NORMAL_MAX,
-    ChainConfig,
     RunningStats,
     ks_critical_1pct,
     normality_statistic,
@@ -196,6 +195,29 @@ class TestRunningStats:
         # the last bin is closed, so edges[-1] itself is in range
         assert st.counts[0] == 2 and st.counts[-1] == 2
         assert st.counts[1] == 1 and st.counts[-2] == 2
+
+
+class TestPrefixStd:
+    P = ts.STD_PIECE
+
+    @pytest.mark.parametrize("n", [
+        2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 1000,
+        P - 1, P, P + 1, P + 7, P + 8, P + 9, 2 * P - 1, 2 * P, 2 * P + 1, 2 * P + 8, 2 * P + 16, 2 * P + 17,
+        3 * P + 5, 4 * P + 8, 1_000_003, (1 << 21) + 3,
+    ])
+    def test_bits_of_np_std(self, rng, n):
+        # the split of np.add.reduce's pairwise sum, at n // 2 - (n // 2) % 8,
+        # is mirrored down to pieces of STD_PIECE values, on either side of
+        # the 8-value rounding and the piece size; values over 12 decades,
+        # so that a sum grouped otherwise rounds otherwise
+        xs = rng.normal(1.0, 1.0, size=n) * 10.0 ** rng.uniform(-6, 6, size=n)
+        assert ts.prefix_std(xs).hex() == float(np.std(xs)).hex()
+        assert ts.prefix_std(xs[: n // 2 + 1]).hex() == float(np.std(xs[: n // 2 + 1])).hex()
+
+    def test_bits_of_np_std_on_random_lengths(self, rng):
+        for n in rng.integers(2, 1 << 20, size=60):
+            xs = rng.normal(1.0, 1.0, size=n) * 10.0 ** rng.uniform(-6, 6, size=n)
+            assert ts.prefix_std(xs).hex() == float(np.std(xs)).hex(), n
 
 
 class TestRunEnsemble:
@@ -511,9 +533,8 @@ class TestPortMemory:
 # of more than PORT_MAX_VALUES (lowered to 1000) values loads it
 FRESH_ENSEMBLES = """
 import json, sys
-from qho_measure.chain_analytics import MeasurementScheme
+from qho_measure.chain_analytics import ChainConfig, MeasurementScheme
 from qho_measure.gaussian_core import OscillatorParams, WavePacket
-from qho_measure.trajectory_sim import ChainConfig
 import qho_measure.trajectory_sim as ts
 ts.PORT_MAX_VALUES = 1000
 p = OscillatorParams(1.0, 0.707, 1.0)
@@ -532,9 +553,8 @@ NUMPY_ONLY = """
 import json, sys
 sys.modules["scipy"] = None
 from qho_measure import cephes, cli
-from qho_measure.chain_analytics import MeasurementScheme
+from qho_measure.chain_analytics import ChainConfig, MeasurementScheme
 from qho_measure.gaussian_core import OscillatorParams, WavePacket
-from qho_measure.trajectory_sim import ChainConfig
 import qho_measure.trajectory_sim as ts
 ts.PORT_MAX_VALUES = 1000
 out, ensembles = sys.argv[1], []

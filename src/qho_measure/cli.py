@@ -35,6 +35,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from array import array
 from dataclasses import asdict, dataclass, field, fields
@@ -447,6 +448,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage errors reported as configuration errors (exit 3);
     its own exit code 2 is the code of a validation failure."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that names no flag is a value when it matches this; the
+        # pattern argparse sets has no exponent and no inf, so -1e-3 and -inf
+        # were taken for flags, and _finite never saw -inf
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -474,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="cross-validation battery (closed forms vs grid)")
     _add_common_flags(p)
-    p.add_argument("--grid-n", default=4096, help="grid points for the oracle")
+    p.add_argument(
+        "--grid-n", default=4096, help="points of the weak check's grid (the propagator checks use their own 512)"
+    )
     return parser
 
 

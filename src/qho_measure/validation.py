@@ -6,8 +6,10 @@ subcommand renders these as pass/fail JSON. A check that crashed (a
 non-finite measured error counts as a crash) has none of the three (None,
 JSON null) and says why in its detail.
 
-run_battery runs the checks side by side on the usable CPUs: the FFTs and
-large ufuncs of the grid checks release the GIL. Every check is
+The two propagator checks run on their own grid (_propagator_grid), in
+sigma_gs and T units, so they measure the same errors on every setup; the
+weak check runs on the grid run_battery is given, the chain's. run_battery
+runs the checks side by side on the usable CPUs. Every check is
 deterministic and independent of the others, so the results do not depend
 on the CPU count.
 """
@@ -75,15 +77,27 @@ def _result(name, measured, detail=""):
     return CheckResult(name, measured <= tolerance, float(measured), tolerance, detail)
 
 
-def check_grid_vs_closed_form(params: OscillatorParams, grid: Grid) -> CheckResult:
+def _propagator_grid(params: OscillatorParams) -> Grid:
+    """The grid of the two propagator checks: +-16 sigma_gs on 512 points.
+
+    Their packets are given in sigma_gs and their times in T, so on this grid
+    they evolve the same dimensionless problem for every mass, omega and hbar.
+    dx is sigma_gs / 16, which resolves the narrowest packet (0.3 sigma_gs)
+    by 4.8 points, and the widest evolved packet reaches 14.2 sigma_gs
+    (|x0| + 8 widths), inside the extent."""
+    return Grid.symmetric(16.0 * params.sigma_gs, 512)
+
+
+def check_grid_vs_closed_form(params: OscillatorParams) -> CheckResult:
     """Grid-evolved density mean/std vs the closed forms, on a (sigma_x0, t)
-    grid, by both propagators: the exact rotation and Strang steps at the
-    default step. The worse route sets the measured error."""
-    T = params.period
+    grid in sigma_gs and T units, by both propagators: the exact rotation and
+    Strang steps at the default step. The worse route sets the measured
+    error."""
+    grid, sgs, T = _propagator_grid(params), params.sigma_gs, params.period
     routes = {"exact": None, f"strang dt=T/{DEFAULT_STEPS_PER_PERIOD}": T / DEFAULT_STEPS_PER_PERIOD}
     worst = dict.fromkeys(routes, 0.0)
-    for sigma_x0 in (0.3, 0.7, 1.5):
-        packet = WavePacket(x0=1.0, sigma_x0=sigma_x0)
+    for sigma_x0 in (0.3, 0.6, 1.25):
+        packet = WavePacket(x0=0.84 * sgs, sigma_x0=sigma_x0 * sgs)
         wf0 = init_packet(grid, packet)
         for t in (0.1 * T, 0.23 * T, 0.45 * T):
             ref = evolved_density(params, packet, t)
@@ -99,11 +113,11 @@ def check_grid_vs_closed_form(params: OscillatorParams, grid: Grid) -> CheckResu
     return _result("grid_vs_closed_form", worst[route], detail=detail)
 
 
-def check_spectral_convergence(params: OscillatorParams, grid: Grid) -> CheckResult:
+def check_spectral_convergence(params: OscillatorParams) -> CheckResult:
     """Halving dt must leave the one-period density std unchanged to within
-    the tolerance."""
-    packet = WavePacket(x0=0.5, sigma_x0=0.5)
-    wf0 = init_packet(grid, packet)
+    the tolerance, for a packet at x0 = sigma_x0 = 0.42 sigma_gs."""
+    grid, sgs = _propagator_grid(params), params.sigma_gs
+    wf0 = init_packet(grid, WavePacket(x0=0.42 * sgs, sigma_x0=0.42 * sgs))
     dt = params.period / 1024
     s1 = evolve(wf0, params.period, params, dt=dt).position_std()
     s2 = evolve(wf0, params.period, params, dt=dt / 2).position_std()
@@ -217,11 +231,12 @@ def check_weak_vs_replace(cfg: ChainConfig, grid: Grid) -> CheckResult:
 
 def run_battery(cfg: ChainConfig, grid: Grid) -> list[CheckResult]:
     """Full cross-validation suite, in the order below; exceptions become
-    failed checks. The checks run on the usable CPUs, each in the caller's
-    np.errstate (see trajectory_sim._map_on_threads)."""
+    failed checks; grid is the weak check's only. The checks run on the
+    usable CPUs, each in the caller's np.errstate (see
+    trajectory_sim._map_on_threads)."""
     checks = [
-        ("grid_vs_closed_form", lambda: check_grid_vs_closed_form(cfg.params, grid)),
-        ("spectral_convergence", lambda: check_spectral_convergence(cfg.params, grid)),
+        ("grid_vs_closed_form", lambda: check_grid_vs_closed_form(cfg.params)),
+        ("spectral_convergence", lambda: check_spectral_convergence(cfg.params)),
         ("chain_vs_sigma_inf", lambda: check_chain_vs_limit(cfg)),
         ("two_step_quadrature", lambda: check_two_step_quadrature(cfg.params)),
         ("partial_sum_identity", lambda: check_partial_sum_identity(cfg)),

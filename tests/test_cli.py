@@ -326,8 +326,7 @@ class TestSweep:
     def test_axis_whose_span_overflows_flagged_domain(self, tmp_path):
         # hi - lo overflows: the first point is 0 * inf + lo, NaN, as in np.linspace
         out = tmp_path / "o"
-        lo = "-1" + "0" * 308  # -1e308, spelled so that argparse does not take it for a flag
-        assert main(["sweep", "--sweep-varsigma", lo, "1e308", "3", "--out", str(out)]) == 0
+        assert main(["sweep", "--sweep-varsigma", "-1e308", "1e308", "3", "--out", str(out)]) == 0
         _, rows = read_csv(out / "sweep.csv")
         assert [(r[0], r[2], r[3]) for r in rows] == [("nan", "", "domain"), ("inf", "", "domain"), ("1e+308", "", "domain")]
 
@@ -503,6 +502,23 @@ def test_printed_lines(tmp_path, capsys):
     for line, c in zip(printed, checks):
         head = f"PASS {c['name']}: measured {c['measured']:.3e} vs tolerance {c['tolerance']:.3e}"
         assert line == head + (f" ({c['detail']})" if c["detail"] else "")
+
+
+def test_negative_values_with_exponents_reach_their_flags(tmp_path):
+    # argparse's own negative-number pattern has no exponent: each of these
+    # values was taken for an unknown flag, and the run exited 3
+    assert main(["simulate", "--x0", "-1e-3", "--n", "10", "--out", str(tmp_path / "s")]) == 0
+    assert strict_json(tmp_path / "s" / "summary.json")["config"]["x0"] == -1e-3
+    assert main(["sweep", "--sweep-tau", "-1e-3", "0.2", "5", "--out", str(tmp_path / "w")]) == 0
+    _, rows = read_csv(tmp_path / "w" / "sweep.csv")
+    assert [float(r[1]) for r in rows] == [-1e-3, 0.04925, 0.0995, 0.14975, 0.2]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "validate"])
+def test_negative_infinity_is_refused_by_the_value_parser(tmp_path, capsys, command):
+    # -inf reaches --x0's own parser, not argparse's "expected one argument"
+    assert main([command, "--x0", "-inf", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "configuration error: --x0: expected a finite number, got '-inf'\n"
 
 
 # Bad inputs: (argv, config-file object or None, QHO_SEED or None, exit code).

@@ -145,7 +145,8 @@ def evolve(
     dt: float | None = None,
 ) -> GridWavefunction:
     """Propagate under V = (1/2) m omega^2 x^2 for time t by chirp sweeps
-    (see _sweep): exact without dt, Strang steps of about dt with it."""
+    (see _sweep): exact without dt, Strang steps of about dt with it. psi.psi
+    may be a stack of rows: each row gets the bits of its own evolve."""
     if t == 0.0:
         return GridWavefunction(psi.grid, psi.psi.copy())
     cx, ck, sweeps = _sweep(psi.grid, t, params, dt)

@@ -9,9 +9,9 @@ JSON null) and says why in its detail.
 The two propagator checks run on their own grid (_propagator_grid), in
 sigma_gs and T units, so they measure the same errors on every setup; the
 weak check runs on the grid run_battery is given, the chain's. run_battery
-runs the checks side by side on the usable CPUs. Every check is
+runs the checks one after another on the calling thread. Every check is
 deterministic and independent of the others, so the results do not depend
-on the CPU count.
+on their order or on the CPU count.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from .gaussian_core import (
     evolved_density,
     gaussian_product,
 )
-from .grid_oracle import DEFAULT_STEPS_PER_PERIOD, CollapseMode, Grid, evolve, init_packet
-from .trajectory_sim import _map_on_threads, run_chain
+from .grid_oracle import DEFAULT_STEPS_PER_PERIOD, CollapseMode, Grid, GridWavefunction, evolve, init_packet
+from .trajectory_sim import run_chain
 
 # Each check passes when its measured error is at most its tolerance here.
 TOLERANCES = {
@@ -49,6 +49,10 @@ TOLERANCES = {
     "povm_roundtrip": 1e-9,
     "weak_vs_replace_gap": 0.05,
 }
+
+# rows of x per block of two_step_std_quadrature's kernel: 32 x 401 doubles
+# (100 KB) stay below glibc's mmap threshold, so each block reuses the heap
+QUADRATURE_BLOCK_ROWS = 32
 
 
 @dataclass
@@ -92,17 +96,17 @@ def check_grid_vs_closed_form(params: OscillatorParams) -> CheckResult:
     """Grid-evolved density mean/std vs the closed forms, on a (sigma_x0, t)
     grid in sigma_gs and T units, by both propagators: the exact rotation and
     Strang steps at the default step. The worse route sets the measured
-    error."""
+    error. The three packets evolve as one stack of rows."""
     grid, sgs, T = _propagator_grid(params), params.sigma_gs, params.period
     routes = {"exact": None, f"strang dt=T/{DEFAULT_STEPS_PER_PERIOD}": T / DEFAULT_STEPS_PER_PERIOD}
     worst = dict.fromkeys(routes, 0.0)
-    for sigma_x0 in (0.3, 0.6, 1.25):
-        packet = WavePacket(x0=0.84 * sgs, sigma_x0=sigma_x0 * sgs)
-        wf0 = init_packet(grid, packet)
-        for t in (0.1 * T, 0.23 * T, 0.45 * T):
-            ref = evolved_density(params, packet, t)
-            for route, dt in routes.items():
-                wf = evolve(wf0, t, params, dt=dt)
+    packets = [WavePacket(x0=0.84 * sgs, sigma_x0=s * sgs) for s in (0.3, 0.6, 1.25)]
+    wf0 = GridWavefunction(grid, np.stack([init_packet(grid, packet).psi for packet in packets]))
+    for t in (0.1 * T, 0.23 * T, 0.45 * T):
+        refs = [evolved_density(params, packet, t) for packet in packets]
+        for route, dt in routes.items():
+            for ref, row in zip(refs, evolve(wf0, t, params, dt=dt).psi):
+                wf = GridWavefunction(grid, row)
                 err = max(
                     abs(wf.position_std() / ref.std - 1.0),
                     abs(wf.position_mean() - ref.mean) / max(abs(ref.mean), ref.std),
@@ -159,13 +163,14 @@ def two_step_std_quadrature(cf: ChainClosedForm, n_nodes: int = 401) -> float:
 
     The trapezoid rule converges exponentially on these smooth, decaying
     integrands: 401 nodes over +-12 widths reach the float floor across the
-    battery's parameter box, where 201 nodes can be off by 4e-5."""
-    d1 = Gaussian(0.0, cf.sigma_first)
+    battery's parameter box, where 201 nodes can be off by 4e-5. The kernel is
+    built QUADRATURE_BLOCK_ROWS rows of x at a time, with the whole kernel's bits."""
     span = 12.0 * math.sqrt(cf.sigma_step**2 + cf.sigma_first**2)
     u = np.linspace(-12.0 * cf.sigma_first, 12.0 * cf.sigma_first, n_nodes)
     x = np.linspace(-span, span, n_nodes)
-    kernel = Gaussian(0.0, cf.sigma_step).pdf(x[:, None] - cf.rho * u[None, :])
-    d2 = np.trapezoid(kernel * d1.pdf(u)[None, :], u, axis=1)
+    kernel, rho_u, d1 = Gaussian(0.0, cf.sigma_step), cf.rho * u, Gaussian(0.0, cf.sigma_first).pdf(u)
+    rows = (x[lo:lo + QUADRATURE_BLOCK_ROWS, None] for lo in range(0, n_nodes, QUADRATURE_BLOCK_ROWS))
+    d2 = np.concatenate([np.trapezoid(kernel.pdf(xs - rho_u) * d1, u, axis=1) for xs in rows])
     mass = np.trapezoid(d2, x)
     mean = np.trapezoid(x * d2, x) / mass
     var = np.trapezoid((x - mean) ** 2 * d2, x) / mass
@@ -230,10 +235,9 @@ def check_weak_vs_replace(cfg: ChainConfig, grid: Grid) -> CheckResult:
 
 
 def run_battery(cfg: ChainConfig, grid: Grid) -> list[CheckResult]:
-    """Full cross-validation suite, in the order below; exceptions become
-    failed checks; grid is the weak check's only. The checks run on the
-    usable CPUs, each in the caller's np.errstate (see
-    trajectory_sim._map_on_threads)."""
+    """Full cross-validation suite, run in the order below on the calling
+    thread (so in its np.errstate); exceptions become failed checks; grid is
+    the weak check's only."""
     checks = [
         ("grid_vs_closed_form", lambda: check_grid_vs_closed_form(cfg.params)),
         ("spectral_convergence", lambda: check_spectral_convergence(cfg.params)),
@@ -243,12 +247,10 @@ def run_battery(cfg: ChainConfig, grid: Grid) -> list[CheckResult]:
         ("povm_roundtrip", check_povm_roundtrip),
         ("weak_vs_replace_gap", lambda: check_weak_vs_replace(cfg, grid)),
     ]
-
-    def run_check(i: int) -> CheckResult:
-        name, fn = checks[i]
+    results = []
+    for name, check in checks:
         try:
-            return fn()
+            results.append(check())
         except Exception as exc:  # a crash is a failed check with a diagnostic
-            return CheckResult(name, False, None, None, detail=f"{type(exc).__name__}: {exc}")
-
-    return _map_on_threads(run_check, len(checks))
+            results.append(CheckResult(name, False, None, None, detail=f"{type(exc).__name__}: {exc}"))
+    return results

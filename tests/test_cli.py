@@ -521,6 +521,77 @@ def test_negative_infinity_is_refused_by_the_value_parser(tmp_path, capsys, comm
     assert capsys.readouterr().err == "configuration error: --x0: expected a finite number, got '-inf'\n"
 
 
+# The exit-code contract, over seeded random argv for the four commands: each
+# float field at its default scale, anywhere in the float range or at its
+# edges, and now and then negative, written with an exponent as %e writes it
+# (-1.234560e-03); the discrete flags now and then out of their range.
+CONTRACT_FLOATS = {"--mass": 1.0, "--omega": 0.707, "--hbar": 1.0, "--tau-m": 0.2, "--varsigma-m": 0.6,
+                   "--jitter-std": 0.01, "--x0": 1.0, "--sigma-x0": 0.8}
+CONTRACT_TWINS = {"--tau-m": ("--t-m", 2 * math.pi / 0.707), "--varsigma-m": ("--sigma-m", 1 / math.sqrt(0.707))}
+CONTRACT_EDGES = ("0", "-0.0", "inf", "-inf", "nan", "1.7976931348623157e308", "-1.7976931348623157e+308",
+                  "5e-324", "-5e-324")
+
+
+def contract_float(rng, scale, p_negative=0.05):
+    kind = rng.random()
+    if kind < 0.05:
+        return str(rng.choice(CONTRACT_EDGES))
+    sign = -1.0 if rng.random() < p_negative else 1.0
+    if kind < 0.25:
+        return f"{sign * 10.0 ** rng.uniform(-308, 308):e}"
+    return f"{sign * scale * rng.uniform(0.5, 2.0):e}"
+
+
+def contract_argv(rng, out):
+    """(command, argv) for one run, with a small --n (never the default
+    500000, which a grid simulate would take minutes over) and --grid-n."""
+
+    def pick(valid, invalid):
+        return str(rng.choice(invalid if rng.random() < 0.05 else valid))
+
+    command = str(rng.choice(["analyze", "simulate", "sweep", "validate"], p=[0.3, 0.3, 0.3, 0.1]))
+    argv = [command, "--out", str(out), "--n", pick(["1", "2", "37", "300"], ["0", "-1e2", "1e2"])]
+    for flag, scale in CONTRACT_FLOATS.items():
+        if rng.random() < 0.3:
+            value = contract_float(rng, scale, p_negative=0.5 if flag == "--x0" else 0.05)
+            if flag in CONTRACT_TWINS and rng.random() < 0.5:  # the dimensional twin at the default oscillator
+                flag, unit = CONTRACT_TWINS[flag]
+                value = f"{float(value) * unit:e}"
+            argv += [flag, value]
+    if rng.random() < 0.3:
+        argv += ["--seed", pick(["0", "7", "4294967295"], ["-1", "-1e3"])]
+    if rng.random() < 0.3:
+        argv += ["--engine", pick(["chain", "grid"], ["gpu"])]
+    if rng.random() < 0.2:
+        argv += ["--collapse", str(rng.choice(["replace", "weak"]))]
+    if command == "sweep":
+        for axis in ("--sweep-tau", "--sweep-varsigma"):
+            if rng.random() < 0.7:
+                argv += [axis, contract_float(rng, 0.1, 0.3), contract_float(rng, 1.0, 0.1), pick(["2", "5", "17"], ["1", "-1e1"])]
+        argv += [flag for flag in ("--log-tau", "--log-varsigma") if rng.random() < 0.3]
+    if command == "validate":
+        argv += ["--grid-n", pick(["256", "512"], ["300", "-1e3"])]
+    return command, argv
+
+
+def test_exit_code_contract_on_random_argv(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QHO_SEED", raising=False)
+    rng = np.random.default_rng(20261020)
+    codes = {}
+    for i in range(200):
+        out = tmp_path / f"run{i}"
+        command, argv = contract_argv(rng, out)
+        code = main(argv)  # an uncaught exception fails the test here
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, code, err)
+        assert code != 2 or command == "validate", argv
+        for path in out.glob("*.json"):
+            strict_json(path)
+        codes.setdefault(command, set()).add(code)
+    # every command ran to the end at least once, and every exit code came up
+    assert all(0 in seen for seen in codes.values()) and set().union(*codes.values()) == {0, 2, 3, 4}, codes
+
+
 # Bad inputs: (argv, config-file object or None, QHO_SEED or None, exit code).
 # Malformed or non-finite values exit 3 from a flag, the config file or the
 # environment alike; values whose closed forms or outcomes leave float range

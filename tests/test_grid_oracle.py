@@ -131,6 +131,28 @@ class TestEvolve:
             assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
             assert np.array_equal(psi.view(np.uint64), before.view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "tau, steps_per_period, sweeps",
+        [(0.1, None, 1), (0.45, None, 2), (0.23, 1024, 236)],
+        ids=["exact one sweep", "exact two sweeps", "strang dt=T/1024"],
+    )
+    def test_stack_of_rows_has_each_rows_bits(self, tau, steps_per_period, sweeps):
+        # the grid check's three packets as one (3, 512) stack: the chirps
+        # broadcast over the rows and the FFTs transform the last axis
+        params = OscillatorParams(1.0, 0.707, 1.0)
+        sgs, t = params.sigma_gs, tau * params.period
+        dt = None if steps_per_period is None else params.period / steps_per_period
+        g = Grid.symmetric(16.0 * sgs, 512)
+        rows = [init_packet(g, WavePacket(0.84 * sgs, s * sgs)).psi for s in (0.3, 0.6, 1.25)]
+        stack = np.stack(rows)
+        before = stack.copy()
+        out = evolve(GridWavefunction(g, stack), t, params, dt=dt).psi
+        assert _sweep(g, t, params, dt)[2] == sweeps and out.shape == (3, 512)
+        for got, row in zip(out, rows):
+            expected = evolve(GridWavefunction(g, row), t, params, dt=dt).psi
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(stack.view(np.uint64), before.view(np.uint64))
+
 
 class TestExactEvolve:
     """evolve without dt: the exact three-chirp rotation."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qho_measure import cli, grid_oracle
+from qho_measure import trajectory_sim as ts
 from qho_measure import validation
 from qho_measure.chain_analytics import ChainClosedForm, MeasurementScheme
 from qho_measure.gaussian_core import Gaussian, WavePacket, evolved_density
@@ -56,9 +57,12 @@ class TestRunBattery:
 
             monkeypatch.setattr(validation, attr, stub)
 
-    def test_matches_serial_run(self, setup):
+    @pytest.mark.parametrize("cpus", [1, 2, 7])
+    def test_matches_serial_run(self, monkeypatch, setup, cpus):
+        # the battery's results do not depend on how many CPUs the machine reports
         cfg, grid = setup
         expected = [r.as_dict() for r in self.serial(cfg, grid)]
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: cpus)
         got = [r.as_dict() for r in run_battery(cfg, grid)]
         assert [c["name"] for c in got] == list(CHECKS)
         # repr tells -0.0 from 0.0, so this is bit for bit

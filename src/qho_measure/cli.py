@@ -187,8 +187,8 @@ def _pick_pair(values: dict, a: str, b: str, scale: float):
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file, flags, QHO_SEED and RunConfig's defaults.
 
-    Flags win over the file. Range checks are the domain types' own, made by
-    building the run's chain configuration, cfg.chain, the one its command uses.
+    Flags win over the file. Range checks are those of the domain types that
+    build cfg.chain, the run's setup; each error is led by the setting that set it.
     """
     values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {
@@ -201,7 +201,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             for key in pair:
                 values.pop(key, None)
     values.update(flags)
-    if "seed" not in values and "QHO_SEED" in os.environ:
+    env_seed = "seed" not in values and "QHO_SEED" in os.environ
+    if env_seed:
         values["seed"] = _parse_field("seed", "QHO_SEED", os.environ["QHO_SEED"])
 
     cfg = RunConfig(**values)
@@ -212,8 +213,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if cfg.sigma_x0 is None:
             cfg.sigma_x0 = params.sigma_gs
         cfg.chain
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # a range error begins with its domain field: --flag/key or QHO_SEED leads it
+        head = str(exc).split(" ", 1)[0]
+        name = {"n_measurements": "n"}.get(head, head.lower())
+        name = next((b for a, b in _PAIRS if a == name and b in values and a not in values), name)
+        label = "QHO_SEED" if name == "seed" and env_seed else f"--{name.replace('_', '-')}/{name}"
+        raise ConfigError(f"{label}: {exc}" if name in _FIELDS else str(exc)) from exc
     return cfg
 
 
@@ -369,10 +374,10 @@ def _axis(flag: str, triple, log: bool, default: float) -> array:
     lo, hi = (_parse(_finite, flag, v) for v in triple[:2])
     count = _parse(_integer, flag, triple[2])
     if count < 2:
-        raise ConfigError("sweep axis count must be >= 2")
+        raise ConfigError(f"{flag}: COUNT must be >= 2, got {count}")
     if log:
         if min(lo, hi) <= 0:
-            raise ConfigError("log-spaced sweep axis needs positive bounds")
+            raise ConfigError(f"{flag}: a log-spaced axis needs MIN and MAX > 0, got {lo!r} and {hi!r}")
         import numpy as np
         with np.errstate(all="ignore"):
             return array("d", np.geomspace(lo, hi, count).tobytes())

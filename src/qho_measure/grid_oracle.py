@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain_analytics import ChainConfig, povm_parameters
-from .errors import DomainError, GridTooCoarse, GridTooSmall, LeakageError
+from .errors import GridTooCoarse, GridTooSmall, LeakageError
 from .gaussian_core import Gaussian, OscillatorParams, WavePacket
 from .trajectory_sim import MeasurementRecord
 
@@ -216,48 +216,17 @@ def default_grid_for(cfg: ChainConfig, n_points: int = DEFAULT_N_POINTS) -> Grid
     return Grid.symmetric(12.0 * max(cfg.params.sigma_gs, cfg.closed_form.sigma_inf or 0.0), n_points)
 
 
-def _refuse_unresolved(cfg: ChainConfig, grid: Grid, mode: CollapseMode) -> None:
-    """A weak collapse needs a prior wider than sigma_M, which the first one,
-    the evolved initial packet, may not be. The default grid spans +-12
-    max(sigma_inf, sigma_gs) on a fixed number of points; a large sigma_inf
-    or a tiny width leaves its spacing too coarse for the instrument or the
-    initial packet, and a wide or far-off packet (the initial one, or a
-    replacement of width sigma_M) overruns its extent."""
-    sigma_M, cf = cfg.scheme.sigma_M, cfg.closed_form
-    if mode is CollapseMode.WEAK_PRODUCT and cf.sigma_first <= sigma_M:
-        raise DomainError(
-            f"weak collapse needs the evolved initial packet wider than the instrument, "
-            f"but sigma_first={cf.sigma_first:.4g} <= sigma_M={sigma_M:.4g}"
-        )
-    limit = "none at resonance" if cf.sigma_inf is None else f"{cf.sigma_inf:.4g}"
-    spans = (
-        f"the default grid spans +-12 max(sigma_inf, sigma_gs) = +-{grid.x_max:.4g} "
-        f"(sigma_inf={limit})"
-    )
-    widths = {"sigma_M": sigma_M, "sigma_x0": cfg.initial.sigma_x0}
-    unresolved = [f"{name}={w:.4g}" for name, w in widths.items() if w <= 4.0 * grid.dx]
-    if unresolved:
-        raise DomainError(
-            f"{spans} on {grid.n_points} points, so dx={grid.dx:.4g} cannot resolve "
-            f"{' or '.join(unresolved)} (needs dx < width/4)"
-        )
-    reaches = {"|x0| + 8 sigma_x0": abs(cfg.initial.x0) + 8.0 * cfg.initial.sigma_x0}
-    if mode is CollapseMode.REPLACE:
-        reaches["8 sigma_M"] = 8.0 * sigma_M
-    overrun = [f"{name}={r:.4g}" for name, r in reaches.items() if r >= grid.x_max]
-    if overrun:
-        raise DomainError(f"{spans} cannot hold {' or '.join(overrun)} (needs less than the extent)")
-
-
 def run_chain_grid(
     cfg: ChainConfig,
     mode: CollapseMode = CollapseMode.REPLACE,
     dt: float | None = None,
 ) -> MeasurementRecord:
-    """Full measurement chain driven by grid dynamics on default_grid_for(cfg),
-    after refusing a setup that grid cannot run (see _refuse_unresolved)."""
+    """Full measurement chain driven by grid dynamics on default_grid_for(cfg).
+    A setup that grid cannot run is refused by the code that runs it, at its
+    first step: init_packet, measure_and_collapse or povm_parameters."""
     grid = default_grid_for(cfg)
-    _refuse_unresolved(cfg, grid, mode)
+    if mode is CollapseMode.WEAK_PRODUCT:  # the closed form's first prior: an aliased grid packet may be wider
+        povm_parameters(cfg.scheme.sigma_M, 0.0, Gaussian(0.0, cfg.closed_form.sigma_first))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     wf = init_packet(grid, cfg.initial)
     samples = np.empty(cfg.n_measurements)

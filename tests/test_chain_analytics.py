@@ -35,6 +35,7 @@ class TestFromSetup:
         assert abs(cf.sigma_first - evolved_width(ref_params, ref_packet.sigma_x0, t)) < 1e-14
         assert abs(cf.rho - math.cos(ref_params.omega * t)) < 1e-15
         assert abs(cf.sin_abs - abs(math.sin(ref_params.omega * t))) < 1e-15
+        assert ref_scheme.rho(ref_params) == cf.rho
 
     @pytest.mark.parametrize("t_M,refused", [(2.0**23 - 1, False), (2.0**23, True), (1e300, True)])
     def test_angle_set_by_rounding_refused(self, t_M, refused):
@@ -84,6 +85,15 @@ class TestDensityBeforeNth:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             density_before_nth(make_cf(), 0)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_unit_rho_adds_every_step(self, rho):
+        # q = rho^2 = 1: the n - 1 steps add sigma_step^2 each, undamped
+        cf = make_cf(sigma_step=0.8, sigma_first=1.7, rho=rho)
+        for n in (1, 2, 7):
+            g = density_before_nth(cf, n, x0=1.5)
+            assert abs(g.variance - (0.8**2 * (n - 1) + 1.7**2)) < 1e-14
+            assert g.mean == 1.5 * rho**n
 
     def test_mean_follows_noise_free_recursion(self):
         # with every kick zero the chain is x_i = rho x_{i-1} from x0
@@ -272,6 +282,10 @@ class TestEnsembleVariancePartial:
         cf = make_cf(sigma_step=0.9, sigma_first=2.1, rho=0.6)
         v_inf = limiting_sigma(cf) ** 2
         assert abs(ensemble_variance_partial(cf, 10**6) - v_inf) < 1e-4 * v_inf
+
+    def test_rejects_bad_count(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ensemble_variance_partial(make_cf(), 0)
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_unit_rho_raises(self, rho):

@@ -528,6 +528,7 @@ def test_negative_infinity_is_refused_by_the_value_parser(tmp_path, capsys, comm
 CONTRACT_FLOATS = {"--mass": 1.0, "--omega": 0.707, "--hbar": 1.0, "--tau-m": 0.2, "--varsigma-m": 0.6,
                    "--jitter-std": 0.01, "--x0": 1.0, "--sigma-x0": 0.8}
 CONTRACT_TWINS = {"--tau-m": ("--t-m", 2 * math.pi / 0.707), "--varsigma-m": ("--sigma-m", 1 / math.sqrt(0.707))}
+CONTRACT_KEYS = "|".join(f.name for f in fields(RunConfig))
 CONTRACT_EDGES = ("0", "-0.0", "inf", "-inf", "nan", "1.7976931348623157e308", "-1.7976931348623157e+308",
                   "5e-324", "-5e-324")
 
@@ -585,6 +586,11 @@ def test_exit_code_contract_on_random_argv(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, code, err)
         assert code != 2 or command == "validate", argv
+        if code == 3:  # the message names a flag of its argv, a config key or QHO_SEED;
+            # a sweep given no axis names the axis flags it needs
+            needed = ["--sweep-tau", "--sweep-varsigma"] if command == "sweep" else []
+            flags = "|".join(re.escape(token) for token in argv + needed if token.startswith("--"))
+            assert re.search(rf"(?:{flags})\b|\b(?:{CONTRACT_KEYS}|QHO_SEED)\b", err), (argv, err)
         for path in out.glob("*.json"):
             strict_json(path)
         codes.setdefault(command, set()).add(code)
@@ -624,7 +630,7 @@ BAD_INPUTS = [
     (["simulate", "--x0", "-inf"], None, None, 3),
     # the grid engine evolves for exactly t_M; it has no jittered period
     (["simulate", "--engine", "grid", "--n", "3", "--jitter-std", "0.5"], None, None, 3),
-    # sigma_inf ~ 50 sigma_gs stretches the default grid past resolving sigma_M
+    # sigma_inf ~ 50 sigma_gs stretches the default grid past resolving the packets
     (["simulate", "--engine", "grid", "--n", "3", "--varsigma-m", "0.01"], None, None, 4),
     (["simulate", "--engine", "grid", "--n", "3", "--tau-m", "0.5", "--varsigma-m", "0.01"],
      None, None, 4),
@@ -687,6 +693,9 @@ BAD_INPUTS = [
     # a replacement packet centred on an outcome does not fit the default grid
     (["simulate", "--engine", "grid", "--collapse", "weak", "--n", "300"], None, None, 4),
     (["simulate", "--engine", "grid", "--tau-m", "0.5", "--varsigma-m", "1.2", "--n", "50"], None, None, 4),
+    # jittered periods near multiples of T/2 overflow the step width: the
+    # outcomes themselves leave float range
+    (["simulate", "--varsigma-m", "7.4e76", "--jitter-std", "0.9", "--n", "2000"], None, None, 4),
 ]
 
 
@@ -713,9 +722,32 @@ def test_bad_input_exit_code(tmp_path, capsys, monkeypatch, argv, config, env_se
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
-    for path in tmp_path.rglob("*.json"):
-        text = path.read_text()
-        assert "NaN" not in text and "Infinity" not in text
+    # no output file and no --out directory: only the config file is left
+    assert sorted(tmp_path.rglob("*")) == ([] if config is None else [tmp_path / "cfg.json"]), err
+
+
+# A range error is led by the flag and config key that set the field, of a
+# twin pair the one given, or by QHO_SEED.
+@pytest.mark.parametrize("argv,config,env_seed,message", [
+    (["analyze", "--varsigma-m", "0"], None, None, "--varsigma-m/varsigma_m: sigma_M must be > 0"),
+    (["analyze", "--sigma-m", "-1"], None, None, "--sigma-m/sigma_m: sigma_M must be > 0"),
+    (["analyze", "--tau-m", "0"], None, None, "--tau-m/tau_m: t_M must be > 0"),
+    (["analyze"], {"t_m": -1.0}, None, "--t-m/t_m: t_M must be > 0"),
+    (["simulate", "--n", "0"], None, None, "--n/n: n_measurements must be >= 1"),
+    (["analyze", "--omega", "0"], None, None, "--omega/omega: omega must be > 0"),
+    (["analyze"], {"sigma_x0": 0.0}, None, "--sigma-x0/sigma_x0: sigma_x0 must be > 0"),
+    (["analyze"], {"seed": -1}, None, "--seed/seed: seed must be >= 0"),
+    (["analyze"], None, "-1", "QHO_SEED: seed must be >= 0"),
+    (["sweep", "--sweep-tau", "0.1", "0.4", "1"], None, None, "--sweep-tau: COUNT must be >= 2, got 1"),
+    (["sweep", "--sweep-varsigma", "1", "0", "5", "--log-varsigma"], None, None,
+     "--sweep-varsigma: a log-spaced axis needs MIN and MAX > 0, got 1.0 and 0.0"),
+])
+def test_range_error_names_its_setting(tmp_path, capsys, monkeypatch, argv, config, env_seed, message):
+    monkeypatch.delenv("QHO_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("QHO_SEED", env_seed)
+    assert run_cli(tmp_path, argv, config) == 3
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_unparseable_config_file(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qho_measure.chain_analytics import ChainClosedForm, ChainConfig, MeasurementScheme, limiting_sigma
-from qho_measure.errors import DomainError, GridTooCoarse, GridTooSmall, LeakageError
+from qho_measure.errors import GridTooCoarse, GridTooSmall, LeakageError, PrecisionError, QhoError
 from qho_measure.gaussian_core import OscillatorParams, WavePacket, evolved_density
 from qho_measure.grid_oracle import (
     CollapseMode,
@@ -299,22 +299,72 @@ class TestRunChainGrid:
                 dt=cfg.params.period / 128,
             )
 
+    # a setup the default grid cannot run is refused by the code that runs
+    # it, at the first step: init_packet, measure_and_collapse, povm_parameters
     @pytest.mark.parametrize("mode", list(CollapseMode))
     def test_default_grid_refuses_a_far_initial_packet(self, mode):
         cfg = self._cfg(3)
         cfg = ChainConfig(cfg.params, cfg.scheme, WavePacket(40.0, cfg.initial.sigma_x0), 3, 21)
-        with pytest.raises(DomainError, match=r"\+-17\.08 .* cannot hold \|x0\| \+ 8 sigma_x0=49\.51"):
+        with pytest.raises(GridTooSmall, match=r"x0=40\.0 with sigma=1\.189\d* does not fit inside extent 17\.08"):
             run_chain_grid(cfg, mode=mode)
 
     def test_weak_collapse_refuses_a_prior_narrower_than_the_instrument(self):
         # the initial packet of width sigma_gs = 1.19 has narrowed to 0.67 at
         # the first measurement, below sigma_M = 1
-        with pytest.raises(DomainError, match=r"sigma_first=0\.6745 <= sigma_M=1\b"):
+        with pytest.raises(PrecisionError, match=r"prior std 0\.67446\d* <= instrument width 1\.0\b"):
             run_chain_grid(self._cfg(3, sigma_M=1.0), mode=CollapseMode.WEAK_PRODUCT)
 
+    def test_weak_collapse_refuses_by_the_closed_form_prior(self):
+        # the default grid's chirps alias this wide packet: its evolved std is
+        # 19.7, not sigma_first = 12.71, so only the closed form shows that the
+        # first prior is narrower than sigma_M = 14.2
+        params = OscillatorParams(0.42387623357308873, 2.44982765345646, 2.1057262856018535)
+        cfg = ChainConfig(
+            params, MeasurementScheme(1.2033367452880233, 14.21091513605494),
+            WavePacket(5.982804628234976, 12.949926729645094), 1, 7,
+        )
+        wf = evolve(init_packet(default_grid_for(cfg), cfg.initial), cfg.scheme.t_M, params)
+        assert wf.position_std() > cfg.scheme.sigma_M > cfg.closed_form.sigma_first
+        with pytest.raises(PrecisionError, match=r"prior std 12\.707\d* <= instrument width 14\.21"):
+            run_chain_grid(cfg, mode=CollapseMode.WEAK_PRODUCT)
+
     def test_default_grid_refuses_a_wide_replacement_packet(self):
-        with pytest.raises(DomainError, match=r"cannot hold 8 sigma_M=56"):
+        # 8 sigma_M = 56 exceeds the extent 27.32, wherever the outcome lands
+        with pytest.raises(GridTooSmall, match=r"with sigma=7\.0 does not fit inside extent 27\.32"):
             run_chain_grid(self._cfg(3, sigma_M=7.0))
+
+    def test_refuses_every_setup_the_fit_rules_refuse(self):
+        # the four fit rules of the default grid, as stated before the run
+        # once: each setup they refuse must raise when the chain runs
+        def refused_by(cfg, mode):
+            grid, sigma_M, packet = default_grid_for(cfg), cfg.scheme.sigma_M, cfg.initial
+            return {
+                "weak prior": mode is CollapseMode.WEAK_PRODUCT and cfg.closed_form.sigma_first <= sigma_M,
+                "resolution": min(sigma_M, packet.sigma_x0) <= 4.0 * grid.dx,
+                "initial fit": abs(packet.x0) + 8.0 * packet.sigma_x0 >= grid.x_max,
+                "replacement fit": mode is CollapseMode.REPLACE and 8.0 * sigma_M >= grid.x_max,
+            }
+
+        rng = np.random.default_rng(30)
+        fired = dict.fromkeys(refused_by(self._cfg(1), CollapseMode.REPLACE), 0)
+        setups = 0
+        while setups < 300:
+            params = OscillatorParams(*(10.0 ** rng.uniform(-1.0, 1.0, 3)))
+            gs = params.sigma_gs
+            scheme = MeasurementScheme(rng.uniform(0.02, 0.98) * params.period, gs * 10.0 ** rng.uniform(-2.5, 1.5))
+            packet = WavePacket(gs * rng.normal(0.0, 10.0), gs * 10.0 ** rng.uniform(-2.0, 1.5))
+            cfg = ChainConfig(params, scheme, packet, 1, int(rng.integers(2**32)))
+            if abs(cfg.closed_form.sigma_first / scheme.sigma_M - 1.0) < 1e-9:
+                continue
+            setups += 1
+            for mode in CollapseMode:
+                rules = refused_by(cfg, mode)
+                if any(rules.values()):
+                    with pytest.raises(QhoError):
+                        run_chain_grid(cfg, mode=mode)
+                for rule, refused in rules.items():
+                    fired[rule] += refused
+        assert min(fired.values()) > 0, fired
 
     def test_default_grid_spans_limit(self):
         cfg = self._cfg(10)

@@ -196,6 +196,18 @@ class TestRunningStats:
         assert st.counts[0] == 2 and st.counts[-1] == 2
         assert st.counts[1] == 1 and st.counts[-2] == 2
 
+    def test_fewer_than_two_values_have_no_spread(self):
+        st = RunningStats.for_scale(1.0)
+        st.push_array(np.array([]))
+        assert (st.count, st.mean, st.variance, int(st.counts.sum())) == (0, 0.0, 0.0, 0)
+        st.push_array(np.array([0.7]))
+        st.push_array(np.empty(0))
+        assert (st.count, st.mean, st.variance, st.std, int(st.counts.sum())) == (1, 0.7, 0.0, 0.0, 1)
+
+    def test_merge_refuses_other_edges(self):
+        with pytest.raises(ValueError, match="different bin edges"):
+            RunningStats.for_scale(1.0).merge(RunningStats.for_scale(2.0))
+
 
 class TestPrefixStd:
     P = ts.STD_PIECE
@@ -230,6 +242,10 @@ class TestRunEnsemble:
         # but the pooled std must still be near the limit
         stats = run_ensemble(ref_config(n=20_000, seed=9), n_chains=4)
         assert abs(stats.std / REF_SIGMA_INF - 1.0) < 0.02
+
+    def test_refuses_no_chains(self, ref_config):
+        with pytest.raises(ValueError, match="n_chains must be >= 1"):
+            run_ensemble(ref_config(n=300, seed=4), n_chains=0)
 
     def test_deterministic(self, ref_config):
         a = run_ensemble(ref_config(n=300, seed=4), n_chains=3)
@@ -579,6 +595,11 @@ class TestBackendChooser:
     def test_scipy_once_loaded(self):
         assert ts._special(1) is special
 
+    def test_ports_above_the_count_without_scipy(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.special")
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy raises ImportError
+        assert ts._special(ts.PORT_MAX_VALUES + 1) is cephes
+
     def test_ensemble_counts_the_normals_of_all_its_chains(self):
         # 2 chains of 500, 2 jittered chains of 250 (two normals a step),
         # then 2 chains of 501
@@ -653,6 +674,11 @@ class TestThinning:
 
     def test_memoryless(self):
         assert thinning_interval(0.0) == 1
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_unit_rho_refused(self, rho):
+        with pytest.raises(ValueError, match="must be < 1"):
+            thinning_interval(rho)
 
     def test_threshold_property(self):
         for rho in (0.1, 0.3, 0.7, 0.95):

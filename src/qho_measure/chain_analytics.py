@@ -180,15 +180,16 @@ def _phase(angle: float, name: str = "omega t_M") -> float:
 
 def _limit_width(width: float, angle: float, gs: float) -> float:
     """sqrt(width^2 cot^2(angle) + gs^4 / (4 width^2)), the limiting width of
-    both forms below. Raises ResonanceError at resonance and DomainError
-    where rounding sets the angle or the value leaves float range."""
+    both forms below, in gs units: gs sqrt(u^2 cot^2 + 1/(4 u^2)), u = width / gs.
+    Raises ResonanceError at resonance and DomainError where rounding sets
+    the angle or the value leaves float range."""
     s, c = math.sin(_phase(angle)), math.cos(angle)
     if _resonant(s, c):
         raise ResonanceError(f"sin({angle!r}) = {s:.3e}, cos = {c!r}: resonant, the limiting width diverges")
     try:
-        w2 = width**2
-        value = math.sqrt(w2 * (c / s) ** 2 + gs**4 / (4.0 * w2))
-    except ArithmeticError:  # a power overflows, or width^2 underflows to 0
+        u2 = (width / gs) ** 2
+        value = gs * math.sqrt(u2 * (c / s) ** 2 + 1.0 / (4.0 * u2))
+    except ArithmeticError:  # u^2 overflows, or underflows to 0
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"limiting width outside float range at width {width!r}, sigma_gs {gs!r}")

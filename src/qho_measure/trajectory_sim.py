@@ -340,25 +340,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_on_threads(task, n_tasks: int) -> list:
-    """[task(0), ..., task(n_tasks - 1)] on w = min(n_tasks, usable CPUs)
-    threads: the calling thread and w - 1 helper threads, each in a copy of
-    the caller's context (so np.errstate holds in every task). Thread s
-    starts with task s, then takes the next task not yet started, in index
-    order, until none is left. A slot holds the task's value or the
-    exception it raised. After an exception no thread takes another task,
-    so every slot before the first failing one is filled and only later
-    slots may stay None. Returns once every helper has joined."""
-    workers = min(n_tasks, _usable_cpus())
-    results: list = [None] * n_tasks
-    untaken, lock = iter(range(workers, n_tasks)), threading.Lock()
+def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
+    """Pooled statistics of n_chains independent chains, seeded by
+    SeedSequence(cfg.seed).spawn, on w = min(n_chains, usable CPUs) threads:
+    the calling thread and w - 1 helpers, each in a copy of the caller's
+    context (so np.errstate holds in every chain). Thread s starts with chain
+    s, then takes the next chain not yet started, in index order; after a
+    failure no thread takes another. Once every helper has joined, the exact
+    merge runs in chain order, and a failing chain raises as in a serial loop."""
+    if n_chains < 1:
+        raise ValueError("n_chains must be >= 1")
+    children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
+    # all the chains' normals pick the backend: above the count, scipy.special loads here for every chain
+    _special(n_chains * cfg.n_measurements * (2 if cfg.scheme.jitter_std else 1))
+    cfg.closed_form  # derived once, before the threads read it: from Python 3.12 cached_property has no lock
+    workers = min(n_chains, _usable_cpus())
+    results: list = [None] * n_chains  # each chain's statistics or exception
+    untaken, lock = iter(range(workers, n_chains)), threading.Lock()
     failed = False
 
-    def take_tasks(i: int | None) -> None:
+    def take_chains(i: int | None) -> None:
         nonlocal failed
         while i is not None:
             try:
-                results[i] = task(i)
+                results[i] = _run_chain_seeded(cfg, children[i], keep=False)[1]
             except Exception as exc:
                 results[i] = exc
                 failed = True
@@ -366,34 +371,16 @@ def _map_on_threads(task, n_tasks: int) -> list:
                 i = None if failed else next(untaken, None)
 
     helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(take_tasks, s))
+        threading.Thread(target=contextvars.copy_context().run, args=(take_chains, s))
         for s in range(1, workers)
     ]
     for helper in helpers:
         helper.start()
     try:
-        take_tasks(0)
+        take_chains(0)
     finally:
         for helper in helpers:
             helper.join()
-    return results
-
-
-def run_ensemble(cfg: ChainConfig, n_chains: int) -> RunningStats:
-    """Pooled statistics of n_chains independent chains.
-
-    Per-chain RNG streams come from SeedSequence(cfg.seed).spawn, and the
-    chains run on the usable CPUs (see _map_on_threads). The
-    count/mean/variance merge is exact and runs in chain order, and a
-    failing chain raises as it would in a serial loop.
-    """
-    if n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
-    children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
-    # all the chains' normals pick the backend: above the count, scipy.special loads here for every chain
-    _special(n_chains * cfg.n_measurements * (2 if cfg.scheme.jitter_std else 1))
-    cfg.closed_form  # derived once, before the threads read it: from Python 3.12 cached_property has no lock
-    results = _map_on_threads(lambda i: _run_chain_seeded(cfg, children[i], keep=False)[1], n_chains)
     pooled = None
     for stats in results:  # a chain left unrun follows a failed one
         if isinstance(stats, Exception):

@@ -46,6 +46,18 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+# sigma_inf_simplified and varsigma_inf * sigma_gs, the limiting width in
+# instrument and in sigma_gs units, agree with sigma_inf = sigma_step / |sin|
+# to this relative gap
+LIMIT_GAP = 1e-13
+
+
+def limit_gap(res):
+    """The larger relative gap of analyze's two other forms of the limiting width from sigma_inf."""
+    sigma_inf = res["sigma_inf"]
+    return max(abs(res["sigma_inf_simplified"] / sigma_inf - 1), abs(res["varsigma_inf"] * res["sigma_gs"] / sigma_inf - 1))
+
+
 class TestAnalyze:
     def test_reference_values(self, tmp_path, capsys):
         rc = main(["analyze", "--out", str(tmp_path / "o")])
@@ -58,6 +70,19 @@ class TestAnalyze:
         assert res["optimal_varsigma_m"] is not None
         out = capsys.readouterr().out
         assert "sigma_inf" in out
+
+    # the limiting width is computed in sigma_gs units, so sigma_gs^4 neither
+    # underflows (small hbar) nor overflows (large hbar, small omega)
+    @pytest.mark.parametrize("argv", [
+        ["--hbar", "1e-160", "--varsigma-m", "0.42"],
+        ["--hbar", "1e-200", "--varsigma-m", "0.42"],
+        ["--hbar", "2.828112e-262", "--varsigma-m", "0.5457487"],
+        ["--hbar", "1e160", "--varsigma-m", "0.42"],
+        ["--omega", "1e-300"],
+    ])
+    def test_limit_forms_agree_at_extreme_scales(self, tmp_path, argv):
+        assert main(["analyze", *argv, "--out", str(tmp_path)]) == 0
+        assert limit_gap(strict_json(tmp_path / "analyze.json")["results"]) <= LIMIT_GAP
 
     def test_resonance_exit_code(self, tmp_path):
         rc = main(["analyze", "--tau-m", "0.5", "--out", str(tmp_path / "o")])
@@ -593,6 +618,8 @@ def test_exit_code_contract_on_random_argv(tmp_path, capsys, monkeypatch):
             assert re.search(rf"(?:{flags})\b|\b(?:{CONTRACT_KEYS}|QHO_SEED)\b", err), (argv, err)
         for path in out.glob("*.json"):
             strict_json(path)
+        if command == "analyze" and code == 0:  # exit 0 means right: the three forms of the limit agree
+            assert limit_gap(strict_json(out / "analyze.json")["results"]) <= LIMIT_GAP, argv
         codes.setdefault(command, set()).add(code)
     # every command ran to the end at least once, and every exit code came up
     assert all(0 in seen for seen in codes.values()) and set().union(*codes.values()) == {0, 2, 3, 4}, codes
@@ -618,7 +645,8 @@ BAD_INPUTS = [
     (["validate", "--grid-n", "100"], None, None, 3),
     # the battery's tolerances are fixed: a tolerance flag is a usage error
     (["validate", "--weak-gap-tol", "nan"], None, None, 3),
-    (["analyze", "--omega", "1e-300"], None, None, 4),
+    # 2 pi / omega, the period, overflows
+    (["analyze", "--omega", "1e-308"], None, None, 4),
     (["analyze", "--omega", "1e300"], None, None, 4),
     (["simulate", "--n", "1000", "--jitter-std", "1e308"], None, None, 4),
     # fails at allocation at once; sizes that could be allocated are not tried
@@ -656,7 +684,7 @@ BAD_INPUTS = [
     # the closed forms hold for replace chains; a weak chain has no limit
     (["analyze", "--collapse", "weak"], None, None, 3),
     (["sweep", "--sweep-tau", "0.1", "0.4", "3"], {"collapse": "weak"}, None, 3),
-    # sigma_gs^4 / (4 sigma_M^2) overflows in both closed forms of the limit
+    # 1 / (4 u^2), u = sigma_M / sigma_gs, overflows in both closed forms of the limit
     (["analyze", "--sigma-m", "1e-160"], None, None, 4),
     # finite outcomes whose squares overflow in the sample std
     (["simulate", "--sigma-m", "1e-160", "--n", "5"], None, None, 4),

@@ -354,22 +354,47 @@ class TestRunEnsembleThreads:
         assert len(seen) == 4 and len({ident for ident, _ in seen}) == 2
         assert all(err == dict.fromkeys(("divide", "over", "under", "invalid"), "raise") for _, err in seen)
 
-    def test_idle_thread_takes_the_next_task(self, monkeypatch):
-        # task 0 sleeps until every other task is done, so the other thread,
-        # not a fixed share of task 0's thread, has to run all of them
-        monkeypatch.setattr(ts, "_usable_cpus", lambda: 2)
-        n_tasks, others_done, threads = 7, threading.Event(), {}
+    def test_idle_thread_takes_the_next_task(self, monkeypatch, ref_config):
+        # chain 0 waits until chains 1-6 are done, so the other thread, not a
+        # fixed share of chain 0's thread, has to run all of them
+        run, others_done, threads = ts._run_chain_seeded, threading.Event(), {}
 
-        def task(i):
-            threads[i] = threading.get_ident()
-            if i == 0:
+        def waiting(cfg, seed_seq, keep):
+            chain = seed_seq.spawn_key[-1]
+            if chain == 0:
                 others_done.wait(timeout=5.0)
-            elif threads.keys() >= set(range(1, n_tasks)):
+            result = run(cfg, seed_seq, keep)
+            threads[chain] = threading.get_ident()
+            if threads.keys() >= set(range(1, 7)):
                 others_done.set()
-            return i * i
+            return result
 
-        assert ts._map_on_threads(task, n_tasks) == [i * i for i in range(n_tasks)]
-        assert all(threads[i] != threads[0] for i in range(1, n_tasks))
+        monkeypatch.setattr(ts, "_run_chain_seeded", waiting)
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 2)
+        run_ensemble(ref_config(n=100, seed=3), n_chains=7)
+        assert others_done.is_set() and all(threads[i] != threads[0] for i in range(1, 7))
+
+    def test_no_chain_starts_after_a_failure(self, monkeypatch, ref_config):
+        # chain 1 fails at once; chain 0 waits until its thread has stopped,
+        # and then takes no chain either
+        run, failed, started, failing_thread = ts._run_chain_seeded, threading.Event(), [], []
+
+        def failing(cfg, seed_seq, keep):
+            chain = seed_seq.spawn_key[-1]
+            started.append(chain)
+            if chain == 1:
+                failing_thread.append(threading.current_thread())
+                failed.set()
+                raise ValueError("chain 1")
+            if chain == 0 and failed.wait(timeout=5.0):
+                failing_thread[0].join(timeout=5.0)
+            return run(cfg, seed_seq, keep)
+
+        monkeypatch.setattr(ts, "_run_chain_seeded", failing)
+        monkeypatch.setattr(ts, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="chain 1"):
+            run_ensemble(ref_config(n=100, seed=3), n_chains=16)
+        assert sorted(started) == [0, 1]
 
 
 class TestMultiChunkChain:
